@@ -4,9 +4,10 @@ Paper: the single-global-suffix-tree CTO+LTBO slows builds by 489.5% on
 average; PlOpti (partitioned trees) cuts that to 70.8%.  Expected shape
 here: LTBO adds a large relative overhead over the baseline build, and
 PlOpti reduces that overhead substantially.  The absolute factor differs
-from the paper: this container has one CPU (see DESIGN.md), so PlOpti's
-win comes from the smaller working set / candidate set of K small trees
-rather than thread-level parallelism.
+from the paper: apps here have ~10⁴ symbols (see DESIGN.md), so PlOpti's
+win can only come from the smaller working set / candidate set of K
+small trees and from running them in worker processes when CPUs exist;
+EXPERIMENTS.md records what a 2-CPU host measures.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ _BUILD_SCALE = max(1.0, BENCH_SCALE)
 
 def _measure(dexfile, config) -> tuple[float, float]:
     """(total build seconds, ltbo phase seconds) — best of two runs, to
-    damp single-core container timing noise.
+    damp container timing noise.
 
     Both numbers come from the observability spans (``build`` /
     ``build.ltbo``) — the same source of truth ``calibro build --trace``

@@ -392,10 +392,9 @@ def _cmd_serve(args) -> int:
     if "shard" in stats:
         shard = stats["shard"]
         print(
-            f"shards: {shard['shards']} x {shard['dispatches']} dispatches, "
+            f"shards: {shard['width']} x {shard['dispatches']} dispatches, "
             f"{shard['tasks']} groups ({shard['retries']} retries, "
-            f"{shard['serial_fallbacks']} serial fallbacks, "
-            f"{shard['memo_hits']} memo hits)"
+            f"{shard['serial_fallbacks']} serial fallbacks)"
         )
     if args.ledger:
         print(f"ledger -> {args.ledger}")

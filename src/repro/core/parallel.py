@@ -22,9 +22,11 @@ service layer:
   ``lookup_chunk(key, prefix)`` and ``store_chunk(key, prefix, result)``;
   cached groups skip the suffix-tree work entirely (see
   :class:`repro.service.OutlineCache`);
-* ``pool`` — a worker pool with ``map_groups(worker, payloads)``; used
+* ``pool`` — an executor with ``map_groups(worker, payloads)``; used
   instead of :func:`repro.suffixtree.parallel.map_over_groups` (see
-  :class:`repro.service.WorkerPool` for the robust variant).
+  :class:`repro.service.WorkerPool` and
+  :class:`repro.service.ShardExecutor`, the per-group and per-shard
+  chunking policies over the same supervised executor).
 """
 
 from __future__ import annotations
@@ -43,11 +45,7 @@ from repro.core.outline import (
     outline_group,
 )
 from repro.suffixtree import DEFAULT_ENGINE, get_miner
-from repro.suffixtree.parallel import (
-    available_parallelism,
-    map_over_groups,
-    partition_evenly,
-)
+from repro.suffixtree.parallel import clamp_jobs, map_over_groups, partition_evenly
 
 __all__ = ["OutlinePayload", "ParallelOutlineResult", "outline_partitioned"]
 
@@ -141,8 +139,7 @@ def outline_partitioned(
     # The documented clamp applies to *every* jobs value, explicit or
     # defaulted: an explicit jobs=64 on a 4-core host schedules 4 jobs,
     # and the plopti.jobs gauge records the clamped truth.
-    requested_jobs = jobs if jobs is not None else groups
-    effective_jobs = min(requested_jobs, groups, available_parallelism())
+    effective_jobs = clamp_jobs(jobs if jobs is not None else groups, groups)
     obs.gauge_set("plopti.jobs", effective_jobs)
     # Static-literal gauge per engine (the docs-coverage convention):
     # a trace shows which backends mined this build.

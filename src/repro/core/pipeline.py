@@ -296,7 +296,7 @@ class CalibroBuild:
     timings: dict[str, float] = field(default_factory=dict)
     #: Structured span trace of this build (phase tree + counter
     #: registry); ``None`` only when observability is globally disabled
-    #: (``CALIBRO_OBS_OFF``) and the stopwatch fallback ran instead.
+    #: (``CALIBRO_OBS_OFF``).
     trace: Trace | None = None
 
     @property
@@ -354,9 +354,9 @@ def build_app(
     ``build.dex2oat`` / ``build.ltbo`` / ``build.link``); an already
     installed tracer is reused (so callers see this build nested in
     their own trace), otherwise a build-local one is created.  With
-    observability globally disabled the plain-stopwatch fallback runs —
-    that path is the control arm of
-    ``benchmarks/bench_observability_overhead.py``.
+    observability globally disabled the same code runs with that tracer
+    never installed, and ``build.trace`` is ``None`` — the control arm
+    of ``benchmarks/bench_observability_overhead.py``.
 
     The keyword-only extras are the build-service integration points:
     ``compiled`` injects an existing :class:`Dex2OatResult` (skipping
@@ -368,15 +368,14 @@ def build_app(
     serve protocol's streamed ``progress`` events.
     """
     config = config or CalibroConfig.baseline()
-    if not obs.enabled():
-        return _build_untraced(dexfile, config, compiled, cache, pool, phase_hook)
     tracer = obs.current_tracer()
-    if tracer is None:
-        with obs.tracing() as tracer:
-            return _build_traced(
-                dexfile, config, tracer, compiled, cache, pool, phase_hook
-            )
-    return _build_traced(dexfile, config, tracer, compiled, cache, pool, phase_hook)
+    if tracer is not None:
+        return _build(dexfile, config, tracer, compiled, cache, pool, phase_hook)
+    # With observability disabled, tracing() installs nothing: the
+    # build-local tracer then times only the three phase spans opened on
+    # it directly, and every instrumented call inside stays a no-op.
+    with obs.tracing() as tracer:
+        return _build(dexfile, config, tracer, compiled, cache, pool, phase_hook)
 
 
 def _phase(phase_hook, name: str) -> None:
@@ -408,7 +407,7 @@ def _run_passes(
     return state, pass_seconds
 
 
-def _build_traced(
+def _build(
     dexfile: DexFile,
     config: CalibroConfig,
     tracer: obs.Tracer,
@@ -470,48 +469,7 @@ def _build_traced(
                 "epoch_unix": tracer.epoch_unix,
                 "pid": os.getpid(),
             },
-        ),
-    )
-
-
-def _build_untraced(
-    dexfile: DexFile,
-    config: CalibroConfig,
-    compiled: Dex2OatResult | None = None,
-    cache=None,
-    pool=None,
-    phase_hook=None,
-) -> CalibroBuild:
-    """The pre-observability stopwatch path (``CALIBRO_OBS_OFF=1``)."""
-    t_start = time.perf_counter()
-
-    _phase(phase_hook, "dex2oat")
-    compile_result = compiled if compiled is not None else dex2oat(
-        dexfile, cto=config.cto_enabled, inline=config.inlining
-    )
-    t_compile = time.perf_counter()
-
-    state, pass_seconds = _run_passes(
-        list(compile_result.methods), config, dexfile, cache, pool, phase_hook
-    )
-
-    _phase(phase_hook, "link")
-    t_link_start = time.perf_counter()
-    oat = link(state.methods, dexfile, aliases=state.aliases or None)
-    t_link = time.perf_counter()
-
-    return CalibroBuild(
-        oat=oat,
-        config=config,
-        dex2oat=compile_result,
-        selection=state.selection,
-        ltbo=state.ltbo,
-        merge=state.merge,
-        timings={
-            "compile": t_compile - t_start,
-            "ltbo": pass_seconds.get("ltbo", 0.0),
-            "merge": pass_seconds.get("merge", 0.0),
-            "link": t_link - t_link_start,
-            "total": t_link - t_start,
-        },
+        )
+        if obs.enabled()
+        else None,
     )

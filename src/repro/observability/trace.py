@@ -20,11 +20,12 @@ instrumentation instead of ad-hoc ``time.perf_counter()`` bookkeeping:
   partitions run in other processes; the parent reconstructs their
   spans from the returned :class:`~repro.core.outline.OutlineStats`).
 
-**The no-op fast path.**  Every module-level helper reads one global
-(``_ACTIVE``) and returns a shared do-nothing object when no tracer is
-installed, so instrumented library code costs a few tens of nanoseconds
-per call site when nobody is measuring.  ``benchmarks/
-bench_observability_overhead.py`` verifies this stays true.
+**The no-op fast path.**  Every module-level helper reads the thread
+overlay and one global (``_ACTIVE``) and returns a shared do-nothing
+object when no tracer is installed, so an instrumented call site costs
+about 250-320 ns when nobody is measuring — the figure ``benchmarks/
+bench_observability_overhead.py`` measures (per call through a lambda,
+on a 2-CPU x86-64 host) and records in its committed artifact.
 
 Thread model: one *process-wide* tracer (``_ACTIVE``) with one span
 stack, plus an optional *thread-local* overlay
@@ -41,8 +42,9 @@ threads may feed them concurrently, and a lost increment is a silent
 lie in a report (``tests/observability/test_thread_safety.py`` holds
 this).  Each span stack keeps the single-threaded contract.
 ``CALIBRO_OBS_OFF=1`` (or :func:`set_disabled`) disables installation
-entirely; :mod:`repro.core.pipeline` then falls back to plain stopwatch
-timings — that path is the control arm of the overhead micro-benchmark.
+entirely; :mod:`repro.core.pipeline` then runs its one build path with
+a tracer that is never installed — the control arm of the overhead
+micro-benchmark.
 """
 
 from __future__ import annotations
@@ -691,16 +693,20 @@ class Tracer:
 
 _ACTIVE: Tracer | None = None
 _DISABLED = os.environ.get("CALIBRO_OBS_OFF", "") not in ("", "0")
-# Thread-local tracer overlay: the serve front door runs one build per
-# executor thread, each measuring into its own tracer via
-# thread_tracing().  Threads without an overlay fall through to the
-# process-wide _ACTIVE tracer.
-_TLS = threading.local()
 
 
-def _current() -> Tracer | None:
-    tracer = getattr(_TLS, "tracer", None)
-    return tracer if tracer is not None else _ACTIVE
+class _Overlay(threading.local):
+    """Thread-local tracer overlay: the serve front door runs one build
+    per executor thread, each measuring into its own tracer via
+    :func:`thread_tracing`.  Threads without an overlay read the
+    class-level ``None`` (a plain attribute load, no AttributeError
+    raised and caught) and fall through to the process-wide
+    ``_ACTIVE`` tracer."""
+
+    tracer: Tracer | None = None
+
+
+_TLS = _Overlay()
 
 
 def enabled() -> bool:
@@ -722,7 +728,7 @@ def current_tracer() -> Tracer | None:
     """The tracer instrumentation feeds right now: this thread's
     overlay tracer (:func:`thread_tracing`) if one is installed, else
     the process-wide tracer."""
-    tracer = getattr(_TLS, "tracer", None)
+    tracer = _TLS.tracer
     return tracer if tracer is not None else _ACTIVE
 
 
@@ -783,12 +789,12 @@ class _ThreadTracingContext:
 
     def __enter__(self) -> Tracer:
         if not _DISABLED:
-            self._previous = getattr(_TLS, "tracer", None)
+            self._previous = _TLS.tracer
             _TLS.tracer = self._tracer
         return self._tracer
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        if not _DISABLED and getattr(_TLS, "tracer", None) is self._tracer:
+        if not _DISABLED and _TLS.tracer is self._tracer:
             _TLS.tracer = self._previous
         return False
 
@@ -806,31 +812,31 @@ def thread_tracing(tracer: Tracer | None = None) -> _ThreadTracingContext:
 
 def span(name: str, **attrs: Any):
     """Open a span on the active tracer, or do nothing (fast) without one."""
-    tracer = getattr(_TLS, "tracer", None) or _ACTIVE
+    tracer = _TLS.tracer or _ACTIVE
     if tracer is None:
         return _NOOP
     return tracer.span(name, **attrs)
 
 
 def counter_add(name: str, amount: int = 1) -> None:
-    tracer = getattr(_TLS, "tracer", None) or _ACTIVE
+    tracer = _TLS.tracer or _ACTIVE
     if tracer is not None:
         tracer.add(name, amount)
 
 
 def gauge_set(name: str, value: float) -> None:
-    tracer = getattr(_TLS, "tracer", None) or _ACTIVE
+    tracer = _TLS.tracer or _ACTIVE
     if tracer is not None:
         tracer.gauge_set(name, value)
 
 
 def gauge_max(name: str, value: float) -> None:
-    tracer = getattr(_TLS, "tracer", None) or _ACTIVE
+    tracer = _TLS.tracer or _ACTIVE
     if tracer is not None:
         tracer.gauge_max(name, value)
 
 
 def histogram_observe(name: str, value: float) -> None:
-    tracer = getattr(_TLS, "tracer", None) or _ACTIVE
+    tracer = _TLS.tracer or _ACTIVE
     if tracer is not None:
         tracer.histogram_observe(name, value)

@@ -27,7 +27,6 @@ from repro.service.cache import (
     CacheStats,
     OutlineCache,
     SharedCacheSpec,
-    SharedCacheWorker,
     fingerprint_methods,
 )
 from repro.service.client import BuildResult, CalibroClient, PendingBuild
@@ -39,7 +38,7 @@ from repro.service.graph import (
     GraphDelta,
     GraphState,
 )
-from repro.service.pool import PoolStats, WorkerPool
+from repro.service.pool import WorkerPool
 from repro.service.protocol import (
     PROTOCOL_VERSION,
     BuildFailed,
@@ -47,7 +46,7 @@ from repro.service.protocol import (
     ProtocolError,
 )
 from repro.service.server import AsyncBuildServer, serve_in_background
-from repro.service.shard import ShardExecutor, ShardStats
+from repro.service.shard import ShardExecutor
 
 __all__ = [
     "AsyncBuildServer",
@@ -68,14 +67,11 @@ __all__ = [
     "OverloadedError",
     "PROTOCOL_VERSION",
     "PendingBuild",
-    "PoolStats",
     "ProtocolError",
     "SERVICE_CONFIG_SCHEMA_VERSION",
     "ServiceConfig",
     "ShardExecutor",
-    "ShardStats",
     "SharedCacheSpec",
-    "SharedCacheWorker",
     "WorkerPool",
     "armed",
     "build_info_labels",

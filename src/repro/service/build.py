@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import threading
 import time
-import warnings
 from dataclasses import dataclass
 
 from repro import __version__, observability as obs
@@ -92,7 +91,7 @@ class BuildReport:
     cached_groups: int
     total_groups: int
     #: Delta accounting when the service ran incrementally
-    #: (``BuildService(incremental=True)``); ``None`` otherwise.
+    #: (``ServiceConfig(incremental=True)``); ``None`` otherwise.
     graph: GraphDelta | None = None
 
     def summary(self) -> dict[str, object]:
@@ -108,22 +107,6 @@ class BuildReport:
         if self.graph is not None:
             out["graph"] = self.graph.as_dict()
         return out
-
-
-#: The pre-``ServiceConfig`` keyword surface, kept alive behind
-#: ``DeprecationWarning`` shims (one field each on
-#: :class:`~repro.service.config.ServiceConfig`).
-_LEGACY_KWARGS = (
-    "cache_dir",
-    "cache_max_bytes",
-    "cache_memory_entries",
-    "max_workers",
-    "group_timeout",
-    "shards",
-    "shard_timeout",
-    "metrics_path",
-    "incremental",
-)
 
 
 class BuildService:
@@ -147,9 +130,9 @@ class BuildService:
     (requires an active tracer to have anything to export; the
     exposition always carries the static ``calibro_build_info``
     labelset).  ``shards >= 2`` routes group work through the
-    multi-process :class:`~repro.service.shard.ShardExecutor` instead
-    of the in-process worker pool (``shard_timeout`` is its per-batch
-    budget) — output bytes are identical either way.
+    :class:`~repro.service.shard.ShardExecutor` (one chunk per shard)
+    instead of the per-group worker pool (``shard_timeout`` is its
+    per-batch budget) — output bytes are identical either way.
     ``incremental=True`` replaces the all-or-nothing compile cache with
     the keyed build dependency graph (:mod:`repro.service.graph`):
     only nodes whose content hash moved re-execute, the rest splice
@@ -157,10 +140,6 @@ class BuildService:
     :class:`~repro.service.graph.GraphDelta` — byte-identical output,
     delta-build cost.  Use as a context manager, or call :meth:`close`
     to release the worker pool.
-
-    The old per-knob keywords (``BuildService(cache_dir=...,
-    shards=...)``) still work but emit a ``DeprecationWarning``; they
-    are folded into an equivalent ``ServiceConfig``.
     """
 
     def __init__(
@@ -168,28 +147,7 @@ class BuildService:
         config: ServiceConfig | None = None,
         *,
         ledger: "obs.BuildLedger | str | None" = None,
-        **legacy,
     ) -> None:
-        if legacy:
-            unknown = sorted(set(legacy) - set(_LEGACY_KWARGS))
-            if unknown:
-                raise TypeError(
-                    f"BuildService got unexpected keyword argument(s): "
-                    f"{', '.join(unknown)}"
-                )
-            if config is not None:
-                raise ServiceError(
-                    "pass either a ServiceConfig or the legacy keyword "
-                    "arguments, not both"
-                )
-            warnings.warn(
-                f"BuildService({', '.join(sorted(legacy))}=...) keyword "
-                f"arguments are deprecated; pass "
-                f"BuildService(ServiceConfig(...)) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            config = ServiceConfig(**legacy)
         self.config = config if config is not None else ServiceConfig()
         self.cache = OutlineCache(
             self.config.cache_dir,

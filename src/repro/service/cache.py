@@ -34,13 +34,13 @@ Key properties:
   post-read ``os.utime`` recency refresh tolerates the file vanishing);
   eviction scans tolerate entries deleted underneath them and sweep
   temp files abandoned by crashed writers.  :class:`SharedCacheSpec` is
-  the picklable recipe shard and pool worker processes use to open
-  their own handle on the supervisor's directory — the read-through /
-  write-back layer behind ``ServiceConfig(shared_cache=...)``.
+  the picklable recipe group-executor children use to open their own
+  handle on the supervisor's directory — the read-through / write-back
+  layer behind ``ServiceConfig(shared_cache=...)``.
 
 Counters (`service.cache.*`) feed the observability registry whenever a
 tracer is active — split by tier (``disk_hits`` vs ``memory_hits``) and
-by process role (``supervisor``/``shard``/``worker``); ``docs/service.md``
+by process role (``supervisor``/``worker``); ``docs/service.md``
 documents the semantics.  The disk tier exposes deterministic
 ``CALIBRO_FAULTS`` sites (``cache.read`` / ``cache.write`` /
 ``cache.evict``) that always degrade to a miss or a skipped write,
@@ -71,7 +71,6 @@ __all__ = [
     "CacheStats",
     "OutlineCache",
     "SharedCacheSpec",
-    "SharedCacheWorker",
     "fingerprint_methods",
     "outline_payload_key",
 ]
@@ -89,7 +88,7 @@ DEFAULT_MAX_BYTES = 64 * 1024 * 1024
 
 #: Which process opened this handle — key material for the per-role
 #: counter split (`service.cache.supervisor_hits` & co.).
-CACHE_ROLES = ("supervisor", "shard", "worker")
+CACHE_ROLES = ("supervisor", "worker")
 
 #: A ``*.tmp`` staging file older than this is an orphan from a crashed
 #: writer and is swept during eviction scans; younger temp files may be
@@ -474,25 +473,19 @@ class OutlineCache:
     # out of the source, so they must never be assembled dynamically.
 
     def _count_role_hit(self) -> None:
-        if self.role == "shard":
-            obs.counter_add("service.cache.shard_hits")
-        elif self.role == "worker":
+        if self.role == "worker":
             obs.counter_add("service.cache.worker_hits")
         else:
             obs.counter_add("service.cache.supervisor_hits")
 
     def _count_role_miss(self) -> None:
-        if self.role == "shard":
-            obs.counter_add("service.cache.shard_misses")
-        elif self.role == "worker":
+        if self.role == "worker":
             obs.counter_add("service.cache.worker_misses")
         else:
             obs.counter_add("service.cache.supervisor_misses")
 
     def _count_role_store(self) -> None:
-        if self.role == "shard":
-            obs.counter_add("service.cache.shard_stores")
-        elif self.role == "worker":
+        if self.role == "worker":
             obs.counter_add("service.cache.worker_stores")
         else:
             obs.counter_add("service.cache.supervisor_stores")
@@ -689,8 +682,8 @@ class SharedCacheSpec:
     A live :class:`OutlineCache` cannot cross a process boundary (it
     owns a lock, live stats, an open directory handle); this spec can.
     The supervisor derives one from its cache
-    (:meth:`OutlineCache.shared_spec`), ships it to shard and pool
-    worker children inside the task payload, and each child opens — and
+    (:meth:`OutlineCache.shared_spec`), the group executor ships it to
+    its children with every dispatch unit, and each child opens — and
     process-caches — its own handle on the same directory.  Disk-tier
     atomicity (per-writer temp names + ``os.replace``) is what makes
     the concurrent handles sound.
@@ -702,7 +695,8 @@ class SharedCacheSpec:
 
     def open(self, role: str = "worker") -> OutlineCache:
         """This process's handle for ``role`` (opened once, then
-        reused — a shard serves its whole chunk through one handle)."""
+        reused — a child serves every unit it runs through one
+        handle)."""
         pid = os.getpid()
         key = (self.directory, role)
         cached = _SHARED_HANDLES.get(key)
@@ -717,13 +711,33 @@ class SharedCacheSpec:
         _SHARED_HANDLES[key] = (pid, handle)
         return handle
 
+    def lookup_or_compute(self, worker, payload) -> tuple[object, bool | None]:
+        """``worker(payload)``, read through and written back to the
+        shared disk cache from a group-executor child.
+
+        Returns ``(result, hit)``.  A group mined by any process of any
+        tenant is a hit (re-branded to this payload's symbol prefix);
+        payloads that are not outline-shaped go straight to ``worker``
+        and report ``hit=None``.
+        """
+        key, prefix = outline_payload_key(payload)
+        if key is None:
+            return worker(payload), None
+        cache = self.open()
+        hit = cache.lookup_chunk(key, prefix)
+        if hit is not None:
+            return hit, True
+        result = worker(payload)
+        cache.store_chunk(key, prefix, result)
+        return result, False
+
 
 def outline_payload_key(payload) -> tuple[str | None, str | None]:
     """``(group key, symbol prefix)`` of an outline payload, or
     ``(None, None)`` when the payload is not outline-shaped.
 
-    ``map_groups`` is generic (tests drive it with plain ints), so the
-    shared-cache layer duck-checks the
+    The group executor is generic (tests drive it with plain ints), so
+    the shared-cache layer duck-checks the
     :data:`~repro.core.parallel.OutlinePayload` shape before keying:
     a 7-tuple with integer thresholds, a string engine and a string
     symbol prefix.  Anything else passes through uncached.
@@ -740,39 +754,3 @@ def outline_payload_key(payload) -> tuple[str | None, str | None]:
         except Exception:
             return None, None
     return None, None
-
-
-class SharedCacheWorker:
-    """Read-through / write-back wrapper around a ``map_groups`` worker.
-
-    Picklable (the worker and the spec both are); the child-side handle
-    is opened lazily on first call, so the wrapper costs nothing until
-    it actually runs inside the child process.  A group mined by any
-    process of any tenant is a disk hit here; non-outline payloads fall
-    straight through to the wrapped worker.
-    """
-
-    __slots__ = ("worker", "spec", "role")
-
-    def __init__(self, worker, spec: SharedCacheSpec, role: str = "worker") -> None:
-        self.worker = worker
-        self.spec = spec
-        self.role = role
-
-    def __getstate__(self):
-        return (self.worker, self.spec, self.role)
-
-    def __setstate__(self, state) -> None:
-        self.worker, self.spec, self.role = state
-
-    def __call__(self, payload):
-        key, prefix = outline_payload_key(payload)
-        if key is None:
-            return self.worker(payload)
-        cache = self.spec.open(self.role)
-        hit = cache.lookup_chunk(key, prefix)
-        if hit is not None:
-            return hit
-        result = self.worker(payload)
-        cache.store_chunk(key, prefix, result)
-        return result

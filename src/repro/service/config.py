@@ -12,9 +12,7 @@ config round-trips through ``to_dict`` / ``from_dict`` — the JSON
 format ``calibro serve`` persists and ``BuildService.stats()`` reports
 (under ``stats()["config"]``, carrying its own ``schema_version``).
 
-The old keyword arguments still work behind ``DeprecationWarning``
-shims (``BuildService(cache_dir=...)`` builds the equivalent
-``ServiceConfig`` for you); new code writes::
+Callers write::
 
     from repro.service import BuildService, ServiceConfig
 

@@ -1,12 +1,13 @@
 """Deterministic, seed-driven fault injection for the build service.
 
-The worker pool and the shard supervisor both promise a
-timeout → retry → restart → serial-fallback ladder, but a promise about
-*infrastructure failure* handling is worthless until something actually
-fails.  This module is the failure generator: an env-gated hook that
-makes pool/shard children **crash**, **hang** or **run slow** on demand,
-deterministically, so the fault suite (``tests/service/test_faults.py``)
-drives the ladders instead of trusting them.
+The group executor behind the worker pool and the shard executor
+promises a timeout → restart → retry → serial-fallback ladder, but a
+promise about *infrastructure failure* handling is worthless until
+something actually fails.  This module is the failure generator: an
+env-gated hook that makes pool/shard children **crash**, **hang** or
+**run slow** on demand, deterministically, so the fault suite
+(``tests/service/test_faults.py``) drives the ladder instead of
+trusting it.
 
 Design constraints, and how they are met:
 
@@ -52,9 +53,7 @@ __all__ = [
     "FaultPlan",
     "arm",
     "armed",
-    "call_with_faults",
     "disarm",
-    "faults_armed",
     "maybe_inject",
 ]
 
@@ -186,11 +185,6 @@ class FaultPlan:
 # -- arming / firing ----------------------------------------------------------
 
 
-def faults_armed() -> bool:
-    """Cheap gate the pool checks before paying any wrapping cost."""
-    return bool(os.environ.get(FAULTS_ENV))
-
-
 def arm(plan: FaultPlan) -> None:
     os.environ[FAULTS_ENV] = plan.to_env()
 
@@ -212,10 +206,12 @@ def armed(plan: FaultPlan):
 def maybe_inject(site: str, key: str) -> str | None:
     """Fire the armed fault for ``site:key``, if any.
 
-    Called from the worker-side execution paths (pool task wrapper,
-    shard runner).  Crashes never return; hangs/slows sleep then return
-    the fault name; a clean draw returns ``None``.  By default nothing
-    fires in the supervising process (``in_parent``), so serial
+    The group executor calls it in its children (once per dispatch
+    unit at site ``pool``/``shard``, once per group at site ``group``);
+    the serve front door, the ledger and the disk cache call it in the
+    supervising process.  Crashes never return; hangs/slows sleep then
+    return the fault name; a clean draw returns ``None``.  By default
+    nothing fires in the supervising process (``in_parent``), so serial
     fallbacks always complete.
     """
     plan = FaultPlan.from_env()
@@ -226,8 +222,8 @@ def maybe_inject(site: str, key: str) -> str | None:
         return None
     if not plan.in_parent and multiprocessing.parent_process() is None:
         return None
-    # Registered on the local tracer when one exists — shard processes
-    # install their own, so injected counts travel back in shard traces.
+    # Registered on the local tracer when one exists — traced executor
+    # children install their own, so injected counts travel back.
     obs.counter_add("service.faults.injected")
     if action == "crash":
         os._exit(CRASH_EXIT_CODE)
@@ -235,10 +231,3 @@ def maybe_inject(site: str, key: str) -> str | None:
         raise ServiceError(f"injected fault at {site}:{key}")
     time.sleep(plan.hang_seconds if action == "hang" else plan.slow_seconds)
     return action
-
-
-def call_with_faults(worker, site: str, key: str, payload):
-    """Run ``worker(payload)`` behind the fault hook (module-level so the
-    process pools can pickle it)."""
-    maybe_inject(site, key)
-    return worker(payload)

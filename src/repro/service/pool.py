@@ -1,139 +1,40 @@
-"""The build service's persistent worker pool.
+"""The build service's persistent worker pool: one group per dispatch unit.
 
-One ``ProcessPoolExecutor`` lives for the service lifetime (instead of
-the fork-and-teardown per ``map_over_groups`` call the pipeline used to
-pay), and every group task gets robustness the bare pool lacks:
+:class:`WorkerPool` is the per-group chunking policy over the shared
+:class:`~repro.suffixtree.parallel.GroupExecutor`, which owns the
+process pool, the timeout → restart → retry → in-process fallback
+ladder, trace propagation into the children, the shared-cache hook and
+the ``service.pool.*`` metrics (``docs/service.md``).  Each group is its
+own unit, so ``timeout`` is per group and the ``CALIBRO_FAULTS`` site
+``pool:<i>`` names group ``i`` (:mod:`repro.service.faults`).
 
-* **timeout** — a group that exceeds ``timeout`` seconds is abandoned
-  (`service.pool.timeouts`) and the executor is **replaced**: a
-  ``Future`` past its start cannot be cancelled, so merely abandoning it
-  would leave a zombie task occupying a worker slot and the retry would
-  queue behind it (the PR-5 timeout leak).  Replacing the executor —
-  terminating its worker processes — guarantees the retry starts on a
-  healthy pool;
-* **one retry** — a failed or timed-out group is resubmitted once
-  (`service.pool.retries`), after restarting the pool if the worker
-  process died (`service.pool.restarts`);
-* **serial fallback** — a group that failed twice runs in-process
-  (`service.pool.serial_fallbacks`), so one sick worker degrades a
-  build to serial instead of sinking it.  A group whose *worker
-  function* raises deterministically still raises here — bugs must
-  surface, only infrastructure failures are absorbed.
-
-Queue-wait accounting is per task: every submission stamps its own
-submit time and a done-callback observes ``service.pool.wait_seconds``
-the moment the future completes — not when the in-order collection loop
-finally reads it, which used to fold every earlier task's collect
-latency into later observations and inflate the p99.
-
-When the ``CALIBRO_FAULTS`` environment variable is set
-(:mod:`repro.service.faults`), submissions are wrapped so deterministic
-crash/hang/slow faults fire inside the worker children — the mechanism
-the fault-injection suite uses to drive this ladder.
-
-When a tracer is active in the supervising process, each submission
-also carries a :class:`~repro.observability.TraceContext`: the worker
-child runs the task under its own tracer (one real
-``service.pool.task`` span per task, true wall-clock timestamps) and
-the supervisor adopts the returned snapshot into the build's
-distributed trace (:meth:`~repro.observability.Tracer.adopt`).  With
-no tracer installed nothing is wrapped — the untraced path stays
-byte-for-byte what it was.
-
-``max_workers=1`` (the default on a single-CPU host) short-circuits to
-plain serial execution — no processes, no pickling.
+``max_workers=1`` (the default on a single-CPU host) runs every group
+in-process — no processes, no pickling.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
-import time
-from concurrent.futures import Future, ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
 from typing import Callable, Sequence, TypeVar
 
-from repro import observability as obs
 from repro.core.errors import ServiceError
-from repro.observability import Trace, TraceContext
 from repro.service import faults
-from repro.service.cache import SharedCacheSpec, SharedCacheWorker
-from repro.suffixtree.parallel import available_parallelism
+from repro.service.cache import SharedCacheSpec
+from repro.suffixtree.parallel import GroupExecutor, available_parallelism
 
-__all__ = ["PoolStats", "WorkerPool"]
+__all__ = ["WorkerPool"]
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
 
 
-@dataclass
-class _TracedTaskResult:
-    """Envelope a traced child task sends back: the worker's result
-    plus the child tracer's snapshot for the supervisor to adopt."""
-
-    value: object
-    trace: Trace | None
-
-
-def _traced_task(worker, index: int, payload, ctx: TraceContext | None):
-    """Run one pool task in the worker child under its own tracer.
-
-    Module-level so the executor can pickle it.  The ``service.pool.
-    task`` span is minted inside the propagated trace context, so the
-    supervisor's adoption yields one coherent causal chain.  Faults
-    compose exactly as on the unwrapped path (same site, same key).
-    """
-    tracer = obs.Tracer(context=ctx) if ctx is not None else obs.Tracer()
-    # Both process-wide and thread-overlay: a fork-started worker
-    # inherits the forking thread's thread-local tracer (the serve
-    # executor thread's overlay), which would shadow this one.
-    with obs.tracing(tracer), obs.thread_tracing(tracer):
-        with obs.span("service.pool.task", task=index):
-            if faults.faults_armed():
-                value = faults.call_with_faults(worker, "pool", str(index), payload)
-            else:
-                value = worker(payload)
-        return _TracedTaskResult(value=value, trace=tracer.snapshot())
-
-
-@dataclass
-class PoolStats:
-    """Task bookkeeping for one :class:`WorkerPool`."""
-
-    tasks: int = 0
-    timeouts: int = 0
-    failures: int = 0
-    retries: int = 0
-    serial_fallbacks: int = 0
-    restarts: int = 0
-
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "tasks": self.tasks,
-            "timeouts": self.timeouts,
-            "failures": self.failures,
-            "retries": self.retries,
-            "serial_fallbacks": self.serial_fallbacks,
-            "restarts": self.restarts,
-        }
-
-
-class WorkerPool:
+class WorkerPool(GroupExecutor):
     """A persistent process pool with timeout, retry and serial fallback.
 
     ``max_workers=None`` sizes the pool to the host's usable CPUs; a
-    resolved width of 1 means pure serial execution.  ``timeout`` is
-    per-group seconds (``None`` disables).  The pool is created lazily
-    on first parallel use and survives until :meth:`close` (the service
-    calls it; the class is also a context manager).
-
-    ``cache`` (a :class:`~repro.service.cache.SharedCacheSpec`) wraps
-    every *child* submission in a
-    :class:`~repro.service.cache.SharedCacheWorker` (role ``"worker"``):
-    outline payloads are served read-through/write-back from the shared
-    disk cache inside the worker process.  In-parent execution (the
-    serial short-circuit and the fallback ladder) stays unwrapped — the
-    supervisor's own cache already fronts those paths.
+    resolved width of 1 means pure in-process execution.  ``timeout``
+    is per-group seconds (``None`` disables).  ``cache`` (a
+    :class:`~repro.service.cache.SharedCacheSpec`) serves outline
+    payloads from the shared disk cache inside the worker children.
     """
 
     def __init__(
@@ -146,188 +47,18 @@ class WorkerPool:
         resolved = max_workers if max_workers is not None else available_parallelism()
         if resolved < 1:
             raise ServiceError("max_workers must be >= 1")
+        super().__init__(
+            resolved, timeout=timeout, cache=cache,
+            fault_hook=faults.maybe_inject, site="pool",
+        )
         self.max_workers = resolved
-        self.timeout = timeout
-        self.cache_spec = cache
-        self.stats = PoolStats()
-        self._executor: ProcessPoolExecutor | None = None
-        self._closed = False
-
-    # -- lifecycle ----------------------------------------------------------
-
-    def close(self) -> None:
-        if self._executor is not None:
-            self._executor.shutdown()
-            self._executor = None
-        self._closed = True
-
-    def __enter__(self) -> "WorkerPool":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self.close()
-        return False
-
-    def _pool(self) -> ProcessPoolExecutor:
-        if self._closed:
-            raise ServiceError("worker pool is closed")
-        if self._executor is None:
-            self._executor = ProcessPoolExecutor(max_workers=self.max_workers)
-        return self._executor
-
-    def _restart(self, *, terminate: bool = False) -> None:
-        """Replace the executor.
-
-        ``terminate=False`` for a pool whose worker already died
-        (``BrokenProcessPool`` — nothing left to kill).  ``terminate=True``
-        for the timeout path: the abandoned task is still *running* in a
-        worker, and only terminating the process actually reclaims the
-        slot — without it the zombie serves out its sentence while every
-        retry queues behind it.
-        """
-        self.stats.restarts += 1
-        obs.counter_add("service.pool.restarts")
-        executor, self._executor = self._executor, None
-        if executor is None:
-            return
-        executor.shutdown(wait=False, cancel_futures=True)
-        if terminate:
-            try:
-                for process in list(getattr(executor, "_processes", {}).values()):
-                    process.terminate()
-            except Exception:  # pragma: no cover - best-effort reaping
-                pass
-
-    # -- execution ----------------------------------------------------------
 
     def map_groups(
         self, worker: Callable[[_T], _R], payloads: Sequence[_T]
     ) -> list[_R]:
-        """Apply ``worker`` to every payload, in order, robustly.
-
-        The signature matches what
-        :func:`repro.core.parallel.outline_partitioned` expects of its
-        ``pool`` collaborator.
-        """
-        if self._closed:
-            raise ServiceError("worker pool is closed")
-        self.stats.tasks += len(payloads)
-        obs.counter_add("service.pool.tasks", len(payloads))
-        if self.max_workers <= 1 or len(payloads) <= 1:
-            results = []
-            for index, payload in enumerate(payloads):
-                t0 = time.perf_counter()
-                with obs.span("service.pool.task", task=index):
-                    if faults.faults_armed():
-                        results.append(
-                            faults.call_with_faults(worker, "pool", str(index), payload)
-                        )
-                    else:
-                        results.append(worker(payload))
-                obs.histogram_observe(
-                    "service.pool.wait_seconds", time.perf_counter() - t0
-                )
-            return results
-        futures: list[Future] = []
-        for index, payload in enumerate(payloads):
-            try:
-                futures.append(self._submit(worker, index, payload))
-            except BrokenProcessPool as exc:
-                # An earlier task's crash broke the executor while this
-                # submission was still landing, so submit() raised
-                # synchronously.  Hand the break to the collection
-                # ladder as a pre-failed future — it restarts the pool
-                # and walks the retry/serial path exactly as if the
-                # task had died in flight.
-                broken: Future = Future()
-                broken.set_exception(exc)
-                futures.append(broken)
-        return [
-            self._absorb(self._collect(worker, index, payload, future))
-            for index, (payload, future) in enumerate(zip(payloads, futures))
-        ]
-
-    def _absorb(self, result: object) -> object:
-        """Unwrap a traced child result, adopting its span tree and
-        registries into the active trace; plain results pass through."""
-        if isinstance(result, _TracedTaskResult):
-            tracer = obs.current_tracer()
-            if tracer is not None and result.trace is not None:
-                if result.trace.spans:
-                    tracer.adopt(result.trace)
-                else:
-                    tracer.merge_registry(result.trace)
-            return result.value
-        return result
-
-    def _submit(self, worker, index: int, payload) -> Future:
-        """Submit one task, stamping its own submit time so the wait
-        histogram records per-task submit→completion latency (the
-        done-callback fires when the future settles, succeed or fail —
-        not when the in-order collection loop gets to it)."""
-        if self.cache_spec is not None:
-            worker = SharedCacheWorker(worker, self.cache_spec, "worker")
-        tracer = obs.current_tracer()
-        if tracer is not None:
-            future = self._pool().submit(
-                _traced_task, worker, index, payload, tracer.child_context()
-            )
-        elif faults.faults_armed():
-            future = self._pool().submit(
-                faults.call_with_faults, worker, "pool", str(index), payload
-            )
-        else:
-            future = self._pool().submit(worker, payload)
-        submitted = time.perf_counter()
-
-        def _record(_future: Future, _t0: float = submitted) -> None:
-            obs.histogram_observe(
-                "service.pool.wait_seconds", time.perf_counter() - _t0
-            )
-
-        future.add_done_callback(_record)
-        return future
-
-    def _collect(self, worker, index: int, payload, future: Future) -> object:
-        try:
-            return future.result(timeout=self.timeout)
-        except concurrent.futures.TimeoutError:
-            self.stats.timeouts += 1
-            obs.counter_add("service.pool.timeouts")
-            # cancel() cannot stop a task already running in a worker;
-            # replace the executor (terminating its processes) so the
-            # retry does not queue behind the zombie.
-            self._restart(terminate=True)
-        except concurrent.futures.CancelledError:
-            # A sibling task's timeout restarted the executor while this
-            # future was still queued. Infrastructure, not the worker.
-            self.stats.failures += 1
-            obs.counter_add("service.pool.failures")
-        except BrokenProcessPool:
-            self.stats.failures += 1
-            obs.counter_add("service.pool.failures")
-            self._restart()
-        except Exception:
-            self.stats.failures += 1
-            obs.counter_add("service.pool.failures")
-        # One retry on a (possibly fresh) pool ...
-        self.stats.retries += 1
-        obs.counter_add("service.pool.retries")
-        try:
-            return self._submit(worker, index, payload).result(timeout=self.timeout)
-        except concurrent.futures.TimeoutError:
-            self.stats.timeouts += 1
-            obs.counter_add("service.pool.timeouts")
-            self._restart(terminate=True)
-        except BrokenProcessPool:
-            self._restart()
-        except concurrent.futures.CancelledError:
-            pass
-        except Exception:
-            pass
-        # ... then the serial fallback (faults stay off here: they fire
-        # in children only, so the landing is guaranteed clean).
-        self.stats.serial_fallbacks += 1
-        obs.counter_add("service.pool.serial_fallbacks")
-        with obs.span("service.pool.task", task=index):
-            return worker(payload)
+        """Apply ``worker`` to every payload, in order, robustly — the
+        ``pool`` collaborator of
+        :func:`repro.core.parallel.outline_partitioned`."""
+        indices = list(range(len(payloads)))
+        chunks = [[index] for index in indices] if self.max_workers > 1 else [indices]
+        return self.run_chunks(worker, payloads, chunks)

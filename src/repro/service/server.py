@@ -88,6 +88,9 @@ __all__ = [
 DEFAULT_QUEUE_DEPTH = 8
 #: Maximum in-flight builds per tenant before ``overloaded``.
 DEFAULT_TENANT_QUOTA = 4
+#: Finished builds whose terminal state a ``cancel`` can still report
+#: (oldest forgotten first; an older id answers ``unknown-build``).
+FINISHED_MEMORY = 1024
 
 
 @dataclass
@@ -118,8 +121,8 @@ class _Job:
     #: The per-build tracer while the build runs (executor thread);
     #: the ``status`` op snapshots it for the live span tree.
     tracer: "obs.Tracer | None" = None
-    #: The finished build's serialized trace (v3 document), kept for
-    #: the result event when ``want_trace`` is set.
+    #: The finished build's serialized trace (v3 document), set only
+    #: when ``want_trace`` asked for it in the result event.
     trace_doc: "dict[str, Any] | None" = None
 
 
@@ -176,7 +179,10 @@ class AsyncBuildServer:
         self.max_concurrent = max_concurrent
         self.flush_interval = flush_interval
         self.default_config = default_config
+        #: Live builds (queued or running); a build leaves at its
+        #: terminal event and only its state stays, in ``_finished``.
         self._jobs: dict[str, _Job] = {}
+        self._finished: dict[str, str] = {}
         self._tenants: dict[str, _TenantBook] = {}
         self._ids = itertools.count(1)
         self._accepted = 0
@@ -186,6 +192,7 @@ class AsyncBuildServer:
         self._results = 0
         self._loop: asyncio.AbstractEventLoop | None = None
         self._tracer: "obs.Tracer | None" = None
+        self._owns_tracer = False
         self._slots: asyncio.Semaphore | None = None
         self._executor: ThreadPoolExecutor | None = None
         self._shutdown = None  # asyncio.Event, created on serve()
@@ -218,11 +225,12 @@ class AsyncBuildServer:
         if obs.enabled() and obs.current_tracer() is None:
             own_tracer = obs.Tracer()
             obs.install_tracer(own_tracer)
-        # Pin the serve-lifetime tracer: request handlers adopt into
+        # Pin the serve-lifetime tracer: request handlers fold into
         # *this* tracer, not whatever is globally installed when the
         # request lands — an in-process client's temporary tracer (the
         # test/bench shape) must not receive the server's span trees.
         self._tracer = obs.current_tracer()
+        self._owns_tracer = own_tracer is not None
         # A stale socket from a killed server would fail the bind.
         with contextlib.suppress(OSError):
             os.unlink(self.socket_path)
@@ -431,7 +439,8 @@ class AsyncBuildServer:
         request_id = data.get("id")
         build_id = str(data.get("build"))
         job = self._jobs.get(build_id)
-        if job is None:
+        state = job.state if job is not None else self._finished.get(build_id)
+        if state is None:
             await send({
                 "event": "error",
                 "id": request_id,
@@ -439,7 +448,7 @@ class AsyncBuildServer:
                 "message": f"no such build: {build_id}",
             })
             return
-        if job.state != "queued":
+        if state != "queued":
             # Cooperative contract: running (or finished) builds are
             # never killed from the wire; the pool's timeout ladder owns
             # stuck work.
@@ -448,7 +457,7 @@ class AsyncBuildServer:
                 "id": request_id,
                 "build": build_id,
                 "ok": False,
-                "state": job.state,
+                "state": state,
             })
             return
         job.cancel_requested = True
@@ -560,10 +569,13 @@ class AsyncBuildServer:
         at a ``service.server.request`` span — concurrent executor
         threads cannot interleave span stacks — inside the distributed
         trace the client propagated (``job.context``; a fresh trace
-        when the request carried none).  The finished span tree is
-        adopted into the server's long-lived tracer and, when the
-        client asked (``want_trace``), serialized into the result
-        event so the client can merge it under its own submit span.
+        when the request carried none).  When the client asked
+        (``want_trace``) the finished trace is serialized into the
+        result event, so the client can merge it under its own submit
+        span.  The server's long-lived tracer receives the request's
+        registries; its span tree too only when that tracer came from
+        outside (``--trace``, an embedder), since nothing exports the
+        spans of a tracer the server installed itself.
         """
         maybe_inject("serve", job.label or job.build_id)
         parent = self._tracer
@@ -589,12 +601,17 @@ class AsyncBuildServer:
                         phase_hook=phase_hook,
                     )
         finally:
-            # Merge the request's spans and registries into the
-            # long-lived server trace whether the build succeeded or
-            # not — failed requests are exactly the ones worth seeing.
+            # Fold the request into the long-lived server trace whether
+            # the build succeeded or not — failed requests are exactly
+            # the ones worth seeing.
             job.tracer = None
-            job.trace_doc = tracer.snapshot().to_dict()
-            parent.adopt(tracer.snapshot())
+            snapshot = tracer.snapshot()
+            if job.want_trace:
+                job.trace_doc = snapshot.to_dict()
+            if self._owns_tracer:
+                parent.merge_registry(snapshot)
+            else:
+                parent.adopt(snapshot)
             self.service.flush_metrics()
         return report
 
@@ -612,9 +629,15 @@ class AsyncBuildServer:
         })
 
     def _retire(self, job: _Job) -> None:
+        """A build reached its terminal event: it leaves the live table
+        (dropping its dex and trace) and only its state is kept."""
         book = self._tenants.get(job.tenant)
         if book is not None and job.state in ("done", "error", "cancelled"):
             book.inflight = max(0, book.inflight - 1)
+        self._jobs.pop(job.build_id, None)
+        self._finished[job.build_id] = job.state
+        if len(self._finished) > FINISHED_MEMORY:
+            del self._finished[next(iter(self._finished))]
         self._set_gauges()
 
     def _set_gauges(self) -> None:

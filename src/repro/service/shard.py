@@ -1,243 +1,51 @@
-"""Multi-process sharded group builds (the PR-5 scale-out tentpole).
+"""Multi-process sharded group builds: one round-robin chunk per shard.
 
-The in-process :class:`~repro.service.pool.WorkerPool` hands each PlOpti
-group to a worker process *individually* — one pickle round-trip and one
-scheduling decision per group, with every cache lookup and every metric
-funnelled through the single supervising process.  At fleet scale the
-paper's PlOpti arithmetic (Table 6: +489.5% → +70.8% build-time
-overhead) wants coarser units: :class:`ShardExecutor` partitions the K
-groups across ``shards`` worker **shards**, each an independent OS
-process that owns
+:class:`ShardExecutor` is the coarse chunking policy over the shared
+:class:`~repro.suffixtree.parallel.GroupExecutor`: the K PlOpti groups
+are placed on ``shards`` worker processes by
+:func:`~repro.suffixtree.parallel.round_robin_shards`, one submission
+per shard instead of one per group, and the shard runs its groups'
+suffix-tree / suffix-array work locally.  The executor supplies the
+rest — the fault ladder (per shard batch: ``timeout`` is per batch, the
+``CALIBRO_FAULTS`` site ``shard:<s>`` names shard ``s`` and
+``group:<i>`` names global group ``i``), trace propagation, the
+shared-cache hook and the ``service.pool.*`` metrics.
 
-* its own **miner run** — the shard executes its groups' suffix-tree /
-  suffix-array work entirely locally, one submission for the whole
-  chunk instead of one per group;
-* its own **cache shard** — a content-addressed memo over the chunk, so
-  identical group payloads inside a shard compute once
-  (`service.shard.memo_hits`);
-* its own **tracer** — the supervisor hands each shard a
-  :class:`~repro.observability.TraceContext` (the distributed-trace id
-  plus the ``service.shard.map`` span to parent under), so the shard
-  emits a *real* ``service.shard.run`` span with true wall-clock
-  timestamps; the snapshot travels back in the shard result and is
-  grafted into the supervising build's trace losslessly
-  (:meth:`repro.observability.Tracer.adopt` — registries merge
-  exactly, spans keep their causal parent chain), so a sharded build's
-  trace is one coherent tree across all shard processes.
-
-Placement is deterministic round-robin
-(:func:`repro.suffixtree.parallel.round_robin_shards`) and results are
-re-assembled by global group index, so the engine-invariant
+Results are re-assembled by global group index, so the engine-invariant
 ``(length, first)`` ordering contract downstream of
 ``outline_partitioned`` is untouched: **sharded builds are
 byte-identical to single-process builds** (held by
 ``tests/service/test_shard.py`` across all four paper configurations).
-
-The supervisor wraps every shard in the same fault ladder the pool
-uses — timeout (`service.shard.timeouts`) with a terminating executor
-restart (`service.shard.restarts`), one retry
-(`service.shard.retries`), then an in-process serial fallback for that
-shard's chunk (`service.shard.serial_fallbacks`) — and the
-:mod:`repro.service.faults` hook reaches shard children through the
-same ``CALIBRO_FAULTS`` environment gate, so the ladder is exercised by
-``tests/service/test_faults.py`` rather than trusted.
-
-``ShardExecutor`` duck-types ``WorkerPool.map_groups``, so it plugs
-into :func:`repro.core.parallel.outline_partitioned` (and therefore
-``build_app``/``BuildService``) as a drop-in ``pool`` collaborator:
-``BuildService(shards=4)`` / ``calibro serve --shards 4``.
+``BuildService(ServiceConfig(shards=4))`` / ``calibro serve --shards 4``
+plug it in as the ``pool`` collaborator.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
-import hashlib
-import pickle
-import time
-from concurrent.futures import Future, ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
 from typing import Callable, Sequence, TypeVar
 
-from repro import observability as obs
 from repro.core.errors import ServiceError
-from repro.observability import Trace, TraceContext
 from repro.service import faults
-from repro.service.cache import SharedCacheSpec, outline_payload_key
-from repro.suffixtree.parallel import round_robin_shards
+from repro.service.cache import SharedCacheSpec
+from repro.suffixtree.parallel import GroupExecutor, round_robin_shards
 
-__all__ = ["ShardExecutor", "ShardResult", "ShardStats"]
+__all__ = ["ShardExecutor"]
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
 
 
-@dataclass
-class ShardStats:
-    """Supervision bookkeeping for one :class:`ShardExecutor`."""
-
-    shards: int = 0
-    #: Group tasks routed through the executor.
-    tasks: int = 0
-    #: Shard batches dispatched to shard processes (retries included).
-    dispatches: int = 0
-    timeouts: int = 0
-    failures: int = 0
-    retries: int = 0
-    restarts: int = 0
-    serial_fallbacks: int = 0
-    #: Groups served from a shard's content memo instead of recomputed.
-    memo_hits: int = 0
-    #: Groups served from the *shared* disk cache inside shard
-    #: processes (``ShardExecutor(cache=...)``), and the lookups behind
-    #: them — the cross-process/cross-tenant reuse the shard-local memo
-    #: cannot see.
-    shared_hits: int = 0
-    shared_lookups: int = 0
-
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "shards": self.shards,
-            "tasks": self.tasks,
-            "dispatches": self.dispatches,
-            "timeouts": self.timeouts,
-            "failures": self.failures,
-            "retries": self.retries,
-            "restarts": self.restarts,
-            "serial_fallbacks": self.serial_fallbacks,
-            "memo_hits": self.memo_hits,
-            "shared_hits": self.shared_hits,
-            "shared_lookups": self.shared_lookups,
-        }
-
-
-@dataclass
-class ShardResult:
-    """What one shard process sends back to the supervisor."""
-
-    index: int
-    #: Results in chunk order (the supervisor re-places them by the
-    #: global indices it assigned).
-    results: list = field(default_factory=list)
-    #: Snapshot of the shard-local tracer — real ``service.shard.run``
-    #: spans (parented into the supervisor's trace via the propagated
-    #: context) plus the shard's counter/histogram registries, adopted
-    #: losslessly by the supervisor.
-    trace: Trace | None = None
-    #: Wall seconds inside the shard process.
-    seconds: float = 0.0
-    memo_hits: int = 0
-    #: Groups this shard served from the shared disk cache, and the
-    #: shared-cache lookups it issued (0/0 without a cache spec).
-    shared_hits: int = 0
-    shared_lookups: int = 0
-
-
-def _shard_worker(
-    worker,
-    shard_index: int,
-    chunk: list,
-    ctx: TraceContext | None = None,
-    cache_spec: SharedCacheSpec | None = None,
-) -> ShardResult:
-    """Run one shard's chunk inside the shard process.
-
-    ``chunk`` is ``[(global_index, payload), ...]``.  Module-level so the
-    executor can pickle it; ``worker`` must be module-level too (the
-    same contract ``map_over_groups`` documents).  ``ctx`` is the
-    supervisor's propagated trace context (falls back to
-    ``CALIBRO_TRACE_CONTEXT`` for spawn-style plumbing); the shard's
-    tracer mints spans inside that distributed trace.
-
-    With a ``cache_spec``, outline-shaped payloads are served
-    read-through/write-back from the shared disk cache (one handle per
-    shard process, role ``"shard"``): a group mined by any shard of any
-    tenant is a disk hit here.  Non-outline payloads — and everything
-    when no spec is passed — fall back to the shard-local content memo.
-    """
-    t0 = time.perf_counter()
-    memo_hits = 0
-    shared_hits = 0
-    shared_lookups = 0
-    if ctx is None:
-        ctx = TraceContext.from_env()
-    tracer = obs.Tracer(context=ctx) if ctx is not None else obs.Tracer()
-    cache = cache_spec.open("shard") if cache_spec is not None else None
-    # Install process-wide AND as this thread's overlay: a fork-started
-    # worker inherits the forking thread's thread-local tracer (the
-    # serve executor thread's overlay), and that ghost would otherwise
-    # shadow this tracer in every obs helper.
-    with obs.tracing(tracer), obs.thread_tracing(tracer):
-        with obs.span(
-            "service.shard.run", shard=shard_index, groups=len(chunk)
-        ):
-            faults.maybe_inject("shard", str(shard_index))
-            memo: dict[str, object] = {}
-            results = []
-            for global_index, payload in chunk:
-                faults.maybe_inject("group", str(global_index))
-                if cache is not None:
-                    key, prefix = outline_payload_key(payload)
-                    if key is not None:
-                        shared_lookups += 1
-                        hit = cache.lookup_chunk(key, prefix)
-                        if hit is not None:
-                            shared_hits += 1
-                            obs.counter_add("service.shard.shared_hits")
-                            results.append(hit)
-                            continue
-                        result = worker(payload)
-                        cache.store_chunk(key, prefix, result)
-                        results.append(result)
-                        continue
-                try:
-                    digest = hashlib.sha256(
-                        pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-                    ).hexdigest()
-                except Exception:
-                    digest = None
-                if digest is not None and digest in memo:
-                    # The worker is pure (that is what makes the outline
-                    # cache sound), so an intra-shard duplicate payload can
-                    # reuse the first computation byte-for-byte.
-                    memo_hits += 1
-                    obs.counter_add("service.shard.memo_hits")
-                    results.append(memo[digest])
-                    continue
-                result = worker(payload)
-                if digest is not None:
-                    memo[digest] = result
-                results.append(result)
-        snapshot = tracer.snapshot()
-    return ShardResult(
-        index=shard_index,
-        results=results,
-        trace=snapshot,
-        seconds=time.perf_counter() - t0,
-        memo_hits=memo_hits,
-        shared_hits=shared_hits,
-        shared_lookups=shared_lookups,
-    )
-
-
-class ShardExecutor:
-    """Supervises ``shards`` shard processes; duck-types
-    :meth:`WorkerPool.map_groups` so it drops into
-    ``outline_partitioned``/``build_app``/``BuildService`` as the
-    ``pool`` collaborator.
+class ShardExecutor(GroupExecutor):
+    """Supervises ``shards`` shard processes; a drop-in ``pool``
+    collaborator for ``outline_partitioned``/``build_app``/
+    ``BuildService``.
 
     ``timeout`` is per *shard batch* seconds (``None`` disables) — a
     shard owns many groups, so callers typically scale it up from their
     per-group budget.  ``shards=1`` (or a single payload) runs the chunk
-    in-process: no processes, no pickling, same bytes.
-
-    ``cache`` (a :class:`~repro.service.cache.SharedCacheSpec`) gives
-    every shard process a read-through/write-back handle on the shared
-    disk cache instead of only its chunk-local memo — the
-    ``ServiceConfig(shared_cache=...)`` plumbing.  Results stay
-    byte-identical either way (cached chunks are re-branded to the
-    requesting payload's symbol prefix, exactly like the supervisor's
-    own cache path).
+    in-process: no processes, no pickling, same bytes.  ``cache`` (a
+    :class:`~repro.service.cache.SharedCacheSpec`) gives every shard
+    process a read-through/write-back handle on the shared disk cache.
     """
 
     def __init__(
@@ -249,165 +57,17 @@ class ShardExecutor:
     ) -> None:
         if shards < 1:
             raise ServiceError("shards must be >= 1")
+        super().__init__(
+            shards, timeout=timeout, cache=cache,
+            fault_hook=faults.maybe_inject, site="shard",
+        )
         self.shards = shards
-        self.timeout = timeout
-        self.cache_spec = cache
-        self.stats = ShardStats(shards=shards)
-        self._executor: ProcessPoolExecutor | None = None
-        self._closed = False
-
-    # -- lifecycle ----------------------------------------------------------
-
-    def close(self) -> None:
-        if self._executor is not None:
-            self._executor.shutdown()
-            self._executor = None
-        self._closed = True
-
-    def __enter__(self) -> "ShardExecutor":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self.close()
-        return False
-
-    def _pool(self) -> ProcessPoolExecutor:
-        if self._closed:
-            raise ServiceError("shard executor is closed")
-        if self._executor is None:
-            self._executor = ProcessPoolExecutor(max_workers=self.shards)
-        return self._executor
-
-    def _restart(self, *, terminate: bool = False) -> None:
-        """Replace the executor; ``terminate=True`` additionally kills
-        its worker processes (the timeout path — an abandoned shard
-        batch keeps running otherwise, pinning a whole shard)."""
-        self.stats.restarts += 1
-        obs.counter_add("service.shard.restarts")
-        executor, self._executor = self._executor, None
-        if executor is None:
-            return
-        executor.shutdown(wait=False, cancel_futures=True)
-        if terminate:
-            try:
-                for process in list(getattr(executor, "_processes", {}).values()):
-                    process.terminate()
-            except Exception:  # pragma: no cover - best-effort reaping
-                pass
-
-    # -- execution ----------------------------------------------------------
 
     def map_groups(
         self, worker: Callable[[_T], _R], payloads: Sequence[_T]
     ) -> list[_R]:
         """Apply ``worker`` to every payload across the shards, returning
         results in payload order (the determinism contract)."""
-        if self._closed:
-            raise ServiceError("shard executor is closed")
-        self.stats.tasks += len(payloads)
-        obs.counter_add("service.shard.tasks", len(payloads))
-        obs.gauge_set("service.shard.count", self.shards)
-        if self.shards <= 1 or len(payloads) <= 1:
-            computed = self._run_chunk(worker, list(enumerate(payloads)))
-            return [computed[i] for i in range(len(payloads))]
-        chunks = [
-            [(i, payloads[i]) for i in indices]
-            for indices in round_robin_shards(len(payloads), self.shards)
-        ]
-        results: list = [None] * len(payloads)
-        with obs.span("service.shard.map", shards=len(chunks), groups=len(payloads)):
-            futures = [self._dispatch(worker, s, chunk) for s, chunk in enumerate(chunks)]
-            for shard_index, (chunk, future) in enumerate(zip(chunks, futures)):
-                chunk_results = self._collect(worker, shard_index, chunk, future)
-                for (global_index, _payload), result in zip(chunk, chunk_results):
-                    results[global_index] = result
-        return results
-
-    def _dispatch(self, worker, shard_index: int, chunk: list) -> Future:
-        self.stats.dispatches += 1
-        obs.counter_add("service.shard.dispatches")
-        tracer = obs.current_tracer()
-        ctx = tracer.child_context() if tracer is not None else None
-        return self._pool().submit(
-            _shard_worker, worker, shard_index, chunk, ctx, self.cache_spec
+        return self.run_chunks(
+            worker, payloads, round_robin_shards(len(payloads), self.shards)
         )
-
-    def _collect(self, worker, shard_index: int, chunk: list, future: Future) -> list:
-        """The shard supervision ladder: timeout/failure → terminating
-        restart → one retry → in-process serial fallback."""
-        attempt = future
-        for round_index in (0, 1):
-            try:
-                shard_result = attempt.result(timeout=self.timeout)
-            except concurrent.futures.TimeoutError:
-                self.stats.timeouts += 1
-                obs.counter_add("service.shard.timeouts")
-                # Same leak the pool had: a running shard batch cannot be
-                # cancelled, so reclaim the shard by replacing the
-                # executor and terminating its processes.
-                self._restart(terminate=True)
-            except concurrent.futures.CancelledError:
-                # A sibling shard's restart cancelled this queued batch.
-                self.stats.failures += 1
-                obs.counter_add("service.shard.failures")
-            except BrokenProcessPool:
-                self.stats.failures += 1
-                obs.counter_add("service.shard.failures")
-                self._restart()
-            except Exception:
-                self.stats.failures += 1
-                obs.counter_add("service.shard.failures")
-            else:
-                self._merge(shard_index, chunk, shard_result)
-                return shard_result.results
-            if round_index == 0:
-                self.stats.retries += 1
-                obs.counter_add("service.shard.retries")
-                attempt = self._dispatch(worker, shard_index, chunk)
-        # Serial fallback in the supervising process.  Faults stay off
-        # here (children-only), and a deterministic worker bug re-raises
-        # in-process — absorbed failures are infrastructure failures.
-        self.stats.serial_fallbacks += 1
-        obs.counter_add("service.shard.serial_fallbacks")
-        computed = self._run_chunk(worker, chunk)
-        return [computed[global_index] for global_index, _payload in chunk]
-
-    def _run_chunk(self, worker, chunk: list) -> dict:
-        """In-process execution of a chunk (serial path and fallback);
-        returns ``{global_index: result}``."""
-        out = {}
-        for global_index, payload in chunk:
-            t0 = time.perf_counter()
-            out[global_index] = worker(payload)
-            obs.histogram_observe(
-                "service.shard.group_seconds", time.perf_counter() - t0
-            )
-        return out
-
-    def _merge(self, shard_index: int, chunk: list, shard_result: ShardResult) -> None:
-        """Feed one healthy shard's measurements into the build's
-        observability: the shard's real span tree (wall-clock rebased,
-        causally parented under ``service.shard.map``), the shard
-        wall-time histogram, and the shard-local registries (exact
-        merge) — all via :meth:`~repro.observability.Tracer.adopt`."""
-        self.stats.memo_hits += shard_result.memo_hits
-        self.stats.shared_hits += shard_result.shared_hits
-        self.stats.shared_lookups += shard_result.shared_lookups
-        obs.histogram_observe("service.shard.seconds", shard_result.seconds)
-        tracer = obs.current_tracer()
-        if tracer is None:
-            return
-        if shard_result.trace is not None and shard_result.trace.spans:
-            tracer.adopt(shard_result.trace)
-            return
-        # Shard ran without observability (CALIBRO_OBS_OFF children):
-        # keep the pre-distributed-tracing reconstruction so the trace
-        # still accounts for the shard's wall time.
-        tracer.record_span(
-            "service.shard.run",
-            shard_result.seconds,
-            shard=shard_index,
-            groups=len(chunk),
-        )
-        if shard_result.trace is not None:
-            tracer.merge_registry(shard_result.trace)

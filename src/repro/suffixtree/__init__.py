@@ -4,16 +4,9 @@ the group-parallel execution helpers backing PlOpti.
 The public surface is the :class:`RepeatMiner` protocol and its two
 engines (:class:`SuffixTreeMiner`, :class:`SuffixArrayMiner`), resolved
 by name through :func:`get_miner` — see :mod:`repro.suffixtree.miners`.
-
-The pre-protocol names (``SuffixTree``, ``TERMINAL``,
-``enumerate_repeats``) remain importable from here but emit a
-:class:`DeprecationWarning`: construct a miner instead, or import them
-from their home submodules (:mod:`repro.suffixtree.ukkonen`,
-:mod:`repro.suffixtree.repeats`) when the raw tree is genuinely wanted.
+The raw tree and repeat enumeration live in their home submodules
+(:mod:`repro.suffixtree.ukkonen`, :mod:`repro.suffixtree.repeats`).
 """
-
-import importlib
-import warnings
 
 from repro.suffixtree.miners import (
     DEFAULT_ENGINE,
@@ -27,8 +20,6 @@ from repro.suffixtree.parallel import (
     available_parallelism,
     map_over_groups,
     partition_evenly,
-    shared_pool,
-    shutdown_shared_pool,
 )
 from repro.suffixtree.repeats import (
     Repeat,
@@ -42,45 +33,11 @@ __all__ = [
     "Repeat",
     "RepeatMiner",
     "SuffixArrayMiner",
-    "SuffixTree",
     "SuffixTreeMiner",
-    "TERMINAL",
     "available_parallelism",
     "brute_force_repeats",
-    "enumerate_repeats",
     "get_miner",
     "map_over_groups",
     "partition_evenly",
     "select_nonoverlapping",
-    "shared_pool",
-    "shutdown_shared_pool",
 ]
-
-#: Deprecated package-level names → (home module, suggested replacement).
-_DEPRECATED = {
-    "SuffixTree": (
-        "repro.suffixtree.ukkonen",
-        "SuffixTreeMiner (or repro.suffixtree.ukkonen.SuffixTree for the raw tree)",
-    ),
-    "TERMINAL": (
-        "repro.suffixtree.ukkonen",
-        "repro.suffixtree.ukkonen.TERMINAL",
-    ),
-    "enumerate_repeats": (
-        "repro.suffixtree.repeats",
-        "RepeatMiner.repeats() (or repro.suffixtree.repeats.enumerate_repeats)",
-    ),
-}
-
-
-def __getattr__(name: str):
-    deprecated = _DEPRECATED.get(name)
-    if deprecated is None:
-        raise AttributeError(f"module 'repro.suffixtree' has no attribute {name!r}")
-    module_name, replacement = deprecated
-    warnings.warn(
-        f"repro.suffixtree.{name} is deprecated; use {replacement}",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return getattr(importlib.import_module(module_name), name)

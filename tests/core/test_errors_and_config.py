@@ -147,9 +147,10 @@ class TestSummarySchema:
 def test_jobs_clamped_to_cpu_count(small_app, monkeypatch):
     """The bugfix: asking for many groups on a small host must not fork
     a job per group."""
-    import repro.core.parallel as par
+    import repro.suffixtree.parallel as par
     from repro import observability as obs
 
+    # clamp_jobs reads the CPU count from repro.suffixtree.parallel.
     monkeypatch.setattr(par, "available_parallelism", lambda: 2)
     config = CalibroConfig.cto_ltbo_plopti(groups=8)  # jobs unset
     with obs.tracing() as tracer:

@@ -53,9 +53,11 @@ def test_invalid_rounds(package):
 
 
 def test_process_pool_path(monkeypatch, package):
-    """Force the multiprocessing branch of map_over_groups (this host
-    has one CPU, so it normally falls back to serial): the worker
-    payloads must be picklable and the results identical to serial."""
+    """Force the process branch of map_over_groups whatever the host's
+    CPU count: the worker payloads must be picklable and the results
+    identical to serial.  Both outline_partitioned and map_over_groups
+    clamp jobs through ``repro.suffixtree.parallel.clamp_jobs``, which
+    reads the CPU count patched here."""
     import repro.suffixtree.parallel as par
     from repro.core import select_candidates
     from repro.core.parallel import outline_partitioned
@@ -63,7 +65,11 @@ def test_process_pool_path(monkeypatch, package):
     candidates = select_candidates(list(package.methods)).candidates
     serial = outline_partitioned(candidates, groups=2, jobs=1)
     monkeypatch.setattr(par, "available_parallelism", lambda: 4)
-    pooled = outline_partitioned(candidates, groups=2, jobs=2)
+    executor = par.GroupExecutor(2)
+    monkeypatch.setattr(par, "_SHARED", executor)
+    with executor:
+        pooled = outline_partitioned(candidates, groups=2, jobs=2)
+    assert executor.stats.dispatches == 2
     assert [f.name for f in pooled.outlined] == [f.name for f in serial.outlined]
     assert {i: m.code for i, m in pooled.rewritten.items()} == {
         i: m.code for i, m in serial.rewritten.items()

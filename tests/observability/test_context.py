@@ -4,8 +4,15 @@ from __future__ import annotations
 
 import pytest
 
+from repro import observability as obs
 from repro.core.errors import CalibroError
 from repro.observability import TRACE_CONTEXT_ENV, TraceContext
+
+
+def _counted_double(value):
+    """Executor worker that counts its calls on the child's tracer."""
+    obs.counter_add("test.child_calls")
+    return value * 2
 
 
 def test_new_mints_a_root_context():
@@ -149,19 +156,17 @@ def test_unsampled_request_stays_unsampled_across_shards():
     """One unsampled request through the shard executor: the children's
     counters still merge into the supervising registries, but neither
     the children nor the supervisor export any spans."""
-    from repro import observability as obs
     from repro.observability import Tracer
     from repro.service import ShardExecutor
-    from tests.service.test_shard import _double
 
     ctx = TraceContext(trace_id="cd" * 16, sampled=False)
     tracer = Tracer(context=ctx)
     with obs.tracing(tracer):
         with ShardExecutor(shards=2) as executor:
-            assert executor.map_groups(_double, [7, 7, 7, 7]) == [14] * 4
+            assert executor.map_groups(_counted_double, [7, 7, 7, 7]) == [14] * 4
     snapshot = tracer.snapshot()
     assert snapshot.spans == []
     assert snapshot.meta["sampled"] is False
     # The shard children inherited the unsampled flag via child_context
     # yet their registries merged back exactly.
-    assert snapshot.counters.get("service.shard.memo_hits") == 2
+    assert snapshot.counters.get("test.child_calls") == 4

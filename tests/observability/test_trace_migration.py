@@ -137,6 +137,6 @@ def test_sharded_build_trace_keeps_identity_intact():
     _check_identity(trace)
     # The shard children really ran in other processes and their spans
     # merged under this tracer's trace id.
-    shard_spans = [s for s in trace.walk() if s.name == "service.shard.run"]
+    shard_spans = [s for s in trace.walk() if s.name == "service.pool.task"]
     assert len(shard_spans) == 2
     assert trace.meta["trace_id"] == tracer.trace_id

@@ -100,7 +100,8 @@ def test_stats_document(small_app):
     assert stats["builds"] == 1
     assert stats["cache"]["stores"] >= 2  # compile result + the group
     assert set(stats["pool"]) == {
-        "tasks", "timeouts", "failures", "retries", "serial_fallbacks", "restarts",
+        "width", "tasks", "dispatches", "timeouts", "failures", "retries",
+        "restarts", "serial_fallbacks", "shared_hits", "shared_lookups",
     }
 
 

@@ -22,6 +22,7 @@ from repro.cli import main
 from repro.core.pipeline import CalibroConfig, build_app
 from repro.dex.serialize import save_dexfile
 from repro.observability import Trace
+from repro.service.faults import FaultPlan, armed
 from repro.workloads import app_spec, generate_app
 
 HEX = set("0123456789abcdef")
@@ -56,12 +57,20 @@ def traced_submit(dexfile, tmp_path_factory):
     oat = tmp / "app.oat"
     trace_path = tmp / "app.trace.json"
     chrome_path = tmp / "app.chrome.json"
+    # Each shard unit naps in its child (an injected slow fault) before
+    # mining, so no worker process can finish one unit and take a second
+    # before every process holds one: which process runs which unit is
+    # otherwise up to the scheduler, and the four-processes check below
+    # would depend on it.
+    naps = FaultPlan(slow=1.0, slow_seconds=0.2,
+                     match=tuple(f"shard:{s}" for s in range(GROUPS)))
     try:
-        assert main([
-            "submit", sock, str(dex_json), "-o", str(oat),
-            "--trace", str(trace_path), "--trace-chrome", str(chrome_path),
-            "--json",
-        ]) == 0
+        with armed(naps):
+            assert main([
+                "submit", sock, str(dex_json), "-o", str(oat),
+                "--trace", str(trace_path), "--trace-chrome", str(chrome_path),
+                "--json",
+            ]) == 0
     finally:
         if thread.is_alive():
             main(["submit", sock, "--shutdown"])
@@ -107,7 +116,7 @@ def test_server_request_parents_under_the_client_span(trace):
 def test_every_shard_span_chains_to_the_request_root(trace):
     by_id = _by_id(trace)
     request = trace.find("service.server.request")
-    shards = [s for s in trace.walk() if s.name == "service.shard.run"]
+    shards = [s for s in trace.walk() if s.name == "service.pool.task"]
     assert len(shards) == 4
     for shard in shards:
         chain = []
@@ -141,7 +150,7 @@ def test_chrome_export_validates(traced_submit, trace):
     starts = {e["id"]: e for e in events if e["ph"] == "s"}
     ends = {e["id"]: e for e in events if e["ph"] == "f"}
     assert set(starts) == set(ends) and len(starts) == 4
-    shard_ids = {s.span_id for s in trace.walk() if s.name == "service.shard.run"}
+    shard_ids = {s.span_id for s in trace.walk() if s.name == "service.pool.task"}
     assert set(starts) == shard_ids
     for flow_id, start in starts.items():
         assert start["pid"] != ends[flow_id]["pid"]

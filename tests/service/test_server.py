@@ -14,6 +14,7 @@ byte-identical to the same build run directly through
 from __future__ import annotations
 
 import contextlib
+import gc
 import json
 import os
 import shutil
@@ -23,6 +24,7 @@ import threading
 
 import pytest
 
+from repro import observability as obs
 from repro.core.errors import ConfigError, ServiceError
 from repro.core.pipeline import CalibroConfig
 from repro.service import (
@@ -36,6 +38,7 @@ from repro.service import (
 )
 from repro.service.faults import FaultPlan, armed
 from repro.service.protocol import PROTOCOL_VERSION, BuildFailed
+from repro.service.server import _Job
 from repro.workloads import app_spec, generate_app
 
 CONFIG = CalibroConfig.cto_ltbo_plopti(groups=4)
@@ -215,6 +218,35 @@ def test_cancel_while_queued_never_runs(dexfiles):
     assert status["cancelled"] == 1
     assert status["results"] == 1
     assert status["service"]["builds"] == 1, "cancelled build must never run"
+
+
+def test_finished_builds_release_their_dex_and_spans(dexfiles):
+    """Regression: the live job table kept every finished build (its
+    parsed dex and trace document) and the server-owned tracer adopted
+    every request's span tree, which nothing exports — memory grew with
+    each request.  Finished builds now leave the table, and a server
+    that installed its own tracer folds in registries only."""
+    requests = 5
+    assert obs.current_tracer() is None  # the server will own its tracer
+    service = BuildService(ServiceConfig())
+    with _front_door(service) as (server, sock):
+        tracer = server._tracer
+        client = CalibroClient(sock, timeout=30.0)
+        built = [
+            client.build(dexfiles["a"], CONFIG, label=f"r{i}", want_oat=False)
+            for i in range(requests)
+        ]
+    service.close()
+    assert all(result.summary for result in built)
+    gc.collect()
+    assert not server._jobs
+    assert sum(isinstance(o, _Job) for o in gc.get_objects()) == 0
+    assert len(server._finished) == requests
+    assert tracer.roots == []
+    assert tracer.counters["service.server.accepted"] == requests
+    assert tracer.counters["service.server.results"] == requests
+    # The requests' registries still merged into the server's tracer.
+    assert tracer.counters["service.builds"] == requests
 
 
 # -- fault surfacing ----------------------------------------------------------

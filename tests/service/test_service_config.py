@@ -1,8 +1,7 @@
-"""ServiceConfig: validation, versioned round-trip, legacy kwarg shims.
+"""ServiceConfig: validation and versioned round-trip.
 
 The service's construction surface is a frozen, validated dataclass
-mirroring ``CalibroConfig``; the pre-config keyword surface lives on
-behind ``DeprecationWarning`` shims that forward into it.
+mirroring ``CalibroConfig``.
 """
 
 from __future__ import annotations
@@ -11,7 +10,7 @@ import warnings
 
 import pytest
 
-from repro.core.errors import ConfigError, ServiceError
+from repro.core.errors import ConfigError
 from repro.service import (
     SERVICE_CONFIG_SCHEMA_VERSION,
     BuildService,
@@ -93,29 +92,9 @@ def test_service_accepts_config_silently():
             assert service.config == ServiceConfig()
 
 
-def test_legacy_kwargs_warn_and_forward(tmp_path):
-    with pytest.warns(DeprecationWarning, match="ServiceConfig"):
-        service = BuildService(cache_dir=str(tmp_path), max_workers=2)
-    try:
-        assert service.config.cache_dir == str(tmp_path)
-        assert service.config.max_workers == 2
-    finally:
-        service.close()
-
-
-def test_config_plus_legacy_kwargs_is_an_error():
-    with pytest.raises(ServiceError):
-        BuildService(ServiceConfig(), max_workers=2)
-
-
 def test_unknown_kwargs_raise_type_error():
     with pytest.raises(TypeError):
         BuildService(definitely_not_a_kwarg=1)
-
-
-def test_legacy_validation_speaks_config_error():
-    with pytest.raises(ConfigError):
-        BuildService(max_workers=0)
 
 
 def test_stats_embed_versioned_config(tmp_path):

@@ -3,8 +3,8 @@
 The acceptance bar for the shard executor is byte identity: a build
 routed through N shard processes must produce exactly the OAT image the
 single-process pool (and the plain serial pipeline) produces, under
-every paper configuration.  Everything else — supervision stats, memo
-hits, merged metrics — is checked on top of that invariant.
+every paper configuration.  Everything else — supervision stats and
+merged metrics — is checked on top of that invariant.
 """
 
 from __future__ import annotations
@@ -67,6 +67,9 @@ def test_shard_executor_preserves_payload_order():
         assert executor.stats.tasks == 10
         assert executor.stats.dispatches == 3
         assert executor.stats.serial_fallbacks == 0
+        # No cache spec: children never touch the shared cache.
+        assert executor.cache_spec is None
+        assert executor.stats.shared_lookups == 0
 
 
 def test_single_shard_runs_in_process():
@@ -83,18 +86,6 @@ def test_deterministic_worker_bug_still_raises():
         # surfaced the bug in-process instead of absorbing it.
         assert executor.stats.failures >= 1
         assert executor.stats.serial_fallbacks >= 1
-
-
-def test_shard_memo_dedupes_identical_payloads():
-    with obs.tracing() as tracer:
-        with ShardExecutor(shards=2) as executor:
-            out = executor.map_groups(_double, [7, 7, 7, 7])
-    assert out == [14, 14, 14, 14]
-    # 4 payloads round-robin onto 2 shards -> 2 per shard, each shard
-    # computes once and memo-serves the duplicate.
-    assert executor.stats.memo_hits == 2
-    # The shard-local counter merged back into the supervising tracer.
-    assert tracer.counters.get("service.shard.memo_hits") == 2
 
 
 def test_closed_executor_rejects_work():
@@ -145,17 +136,16 @@ def test_shard_metrics_feed_the_build_trace(dexfile):
         with BuildService(ServiceConfig(shards=2)) as service:
             service.submit(dexfile, config)
         trace = tracer.snapshot()
-    assert trace.counters["service.shard.tasks"] == 4
-    assert trace.counters["service.shard.dispatches"] == 2
-    assert trace.gauges["service.shard.count"] == 2
-    hist = trace.histograms["service.shard.seconds"]
+    assert trace.counters["service.pool.tasks"] == 4
+    assert trace.counters["service.pool.dispatches"] == 2
+    hist = trace.histograms["service.pool.wait_seconds"]
     assert hist.count == 2 and hist.sum > 0
-    # One reconstructed span per healthy shard under the map span.
-    map_span = trace.find("service.shard.map")
+    # One real child span per healthy shard under the map span.
+    map_span = trace.find("service.pool.map")
     assert map_span is not None
-    runs = [c for c in map_span.children if c.name == "service.shard.run"]
+    runs = [c for c in map_span.children if c.name == "service.pool.task"]
     assert len(runs) == 2
-    assert sorted(r.attrs["shard"] for r in runs) == [0, 1]
+    assert sorted(r.attrs["unit"] for r in runs) == [0, 1]
     # Shard-local mining metrics merged back: the trace knows more than
     # the in-process pool path could see.
     assert any(name.startswith("mine.") for name in trace.histograms)
@@ -166,7 +156,7 @@ def test_service_stats_expose_shard_section(dexfile):
     with BuildService(ServiceConfig(shards=2)) as service:
         service.submit(dexfile, config)
         stats = service.stats()
-    assert stats["shard"]["shards"] == 2
+    assert stats["shard"]["width"] == 2
     assert stats["shard"]["tasks"] == 4
     # The in-process pool stayed idle: sharding replaced it.
     assert stats["pool"]["tasks"] == 0

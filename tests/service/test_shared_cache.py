@@ -7,7 +7,7 @@ paper configurations, both mining engines, shard widths, and on both
 cold and warm caches.  On top of that the suite pins the sharing
 itself: a group mined by one executor's children is a disk hit for a
 *different* executor (different shard width, different symbol prefixes —
-the cross-shard/cross-tenant reuse the shard-local memo cannot see).
+the cross-shard/cross-tenant reuse).
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from repro.service import (
     ServiceConfig,
     ShardExecutor,
     SharedCacheSpec,
-    SharedCacheWorker,
     WorkerPool,
 )
 from repro.service.cache import outline_payload_key
@@ -138,9 +137,9 @@ def test_shared_spec_derivation(tmp_path):
 
 def test_spec_open_caches_one_handle_per_role(tmp_path):
     spec = SharedCacheSpec(directory=str(tmp_path))
-    assert spec.open("shard") is spec.open("shard")
-    assert spec.open("shard") is not spec.open("worker")
-    assert spec.open("worker").role == "worker"
+    assert spec.open("worker") is spec.open("worker")
+    assert spec.open("supervisor") is not spec.open("worker")
+    assert spec.open().role == "worker"
 
 
 def test_outline_payload_key_duck_checks_shape(candidates):
@@ -155,19 +154,19 @@ def test_outline_payload_key_duck_checks_shape(candidates):
 def test_shared_cache_worker_read_through_write_back(tmp_path, candidates):
     spec = SharedCacheSpec(directory=str(tmp_path))
     payload = _payload(candidates, prefix="TenantA$g0")
-    wrapped = SharedCacheWorker(_worker, spec)
-    assert pickle.loads(pickle.dumps(wrapped)).spec == spec
 
-    cold = wrapped(payload)  # computes and writes back
+    cold, hit = spec.lookup_or_compute(_worker, payload)  # computes, writes back
+    assert hit is False
     assert OutlineCache(tmp_path).disk_bytes() > 0
     # A different tenant's prefix is a hit (rebranded), byte-equal to a
     # fresh computation under that prefix.
     warm_payload = _payload(candidates, prefix="TenantB$g3")
-    warm = SharedCacheWorker(_worker, spec)(warm_payload)
+    warm, hit = spec.lookup_or_compute(_worker, warm_payload)
+    assert hit is True
     assert _result_signature(warm) == _result_signature(_worker(warm_payload))
     assert _result_signature(cold) == _result_signature(_worker(payload))
     # Non-outline payloads fall straight through to the worker.
-    assert SharedCacheWorker(lambda v: v * 2, spec)(21) == 42
+    assert spec.lookup_or_compute(_double, 21) == (42, None)
 
 
 # -- shard children share the disk tier ---------------------------------------
@@ -176,7 +175,7 @@ def test_shared_cache_worker_read_through_write_back(tmp_path, candidates):
 def test_shard_children_hit_across_executors(tmp_path, candidates):
     """A group mined by executor A's children (tenant A, width 2) is a
     disk hit inside executor B's children (tenant B, width 3, different
-    shard placement) — the reuse the shard-local memo cannot provide."""
+    shard placement)."""
     spec = SharedCacheSpec(directory=str(tmp_path))
     cold_payloads = _distinct_payloads(candidates, 6, "TenantA")
     with ShardExecutor(shards=2, cache=spec) as tenant_a:
@@ -203,17 +202,9 @@ def test_shard_shared_hits_surface_in_the_trace(tmp_path, candidates):
         with ShardExecutor(shards=2, cache=spec) as warm:
             warm.map_groups(_worker, _distinct_payloads(candidates, 4, "B"))
     # Child-side counters merged back into the supervising tracer.
-    assert tracer.counters.get("service.shard.shared_hits") == 4
-    assert tracer.counters.get("service.cache.shard_hits") == 4
+    assert tracer.counters.get("service.pool.shared_hits") == 4
+    assert tracer.counters.get("service.cache.worker_hits") == 4
     assert warm.stats.as_dict()["shared_hits"] == 4
-
-
-def test_executor_without_spec_keeps_the_memo_path():
-    with ShardExecutor(shards=2) as executor:
-        assert executor.cache_spec is None
-        assert executor.map_groups(_double, [7, 7, 7, 7]) == [14] * 4
-    assert executor.stats.memo_hits == 2
-    assert executor.stats.shared_lookups == 0
 
 
 # -- pool workers share the disk tier -----------------------------------------

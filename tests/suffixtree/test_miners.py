@@ -126,22 +126,11 @@ class TestOrderingContract:
 
 
 class TestDeprecationShim:
-    def test_old_names_warn_but_resolve(self):
-        import repro.suffixtree as pkg
-        from repro.suffixtree.repeats import enumerate_repeats as home_enumerate
-        from repro.suffixtree.ukkonen import TERMINAL as home_terminal
-        from repro.suffixtree.ukkonen import SuffixTree as home_tree
-
-        for name, home in [
-            ("SuffixTree", home_tree),
-            ("TERMINAL", home_terminal),
-            ("enumerate_repeats", home_enumerate),
-        ]:
-            with pytest.warns(DeprecationWarning, match=f"repro.suffixtree.{name}"):
-                assert getattr(pkg, name) is home
-
     def test_unknown_attribute_still_raises(self):
         import repro.suffixtree as pkg
 
-        with pytest.raises(AttributeError):
-            pkg.NotAThing
+        # The pre-protocol package-level names are gone; their home
+        # submodules (ukkonen, repeats) are the only way in.
+        for name in ("NotAThing", "SuffixTree", "TERMINAL", "enumerate_repeats"):
+            with pytest.raises(AttributeError):
+                getattr(pkg, name)

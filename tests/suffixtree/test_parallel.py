@@ -4,7 +4,16 @@ from __future__ import annotations
 
 import pytest
 
+import repro.suffixtree.parallel as par
 from repro.suffixtree import available_parallelism, map_over_groups, partition_evenly
+
+
+def _double_first(group):
+    return group[0] * 2
+
+
+def _triple(value):
+    return value * 3
 
 
 def test_partition_even_sizes():
@@ -47,7 +56,7 @@ def test_map_over_groups_serial_path():
 
 def test_map_over_groups_preserves_order():
     groups = [[i] for i in range(10)]
-    assert map_over_groups(lambda g: g[0] * 2, groups, jobs=4) == [i * 2 for i in range(10)]
+    assert map_over_groups(_double_first, groups, jobs=4) == [i * 2 for i in range(10)]
 
 
 def test_map_over_groups_rejects_bad_jobs():
@@ -57,3 +66,37 @@ def test_map_over_groups_rejects_bad_jobs():
 
 def test_available_parallelism_positive():
     assert available_parallelism() >= 1
+
+
+@pytest.mark.parametrize("width", [1, 2])
+@pytest.mark.parametrize("entry", ["map_over_groups", "WorkerPool", "ShardExecutor"])
+def test_every_entry_point_runs_both_paths(monkeypatch, entry, width):
+    """Each chunking policy takes the process path at width 2 and the
+    in-process path at width 1, whatever the host's CPU count (patched
+    for ``map_over_groups``, which clamps its jobs to it)."""
+    from repro.service import ShardExecutor, WorkerPool
+
+    monkeypatch.setattr(par, "available_parallelism", lambda: 2)
+    payloads = list(range(7))
+    if entry == "map_over_groups":
+        executor = par.GroupExecutor(2)
+        monkeypatch.setattr(par, "_SHARED", executor)
+
+        def run():
+            return map_over_groups(_triple, payloads, jobs=width)
+    else:
+        executor = (
+            WorkerPool(max_workers=width)
+            if entry == "WorkerPool"
+            else ShardExecutor(shards=width)
+        )
+
+        def run():
+            return executor.map_groups(_triple, payloads)
+
+    with executor:
+        assert run() == [3 * n for n in payloads]
+        forked = executor._executor is not None
+    assert forked == (width > 1)
+    assert executor.stats.tasks == len(payloads)
+    assert executor.stats.serial_fallbacks == 0
