@@ -69,7 +69,7 @@ def _payloads_for(dexfile) -> list:
     ).candidates
     partitions = partition_evenly(candidates, PLOPTI_GROUPS, seed=0)
     return [
-        (part, frozenset(), 5, 32, 1, "suffixtree", f"MethodOutliner$g{gi}")
+        (part, frozenset(), 5, 32, 1, f"MethodOutliner$g{gi}")
         for gi, part in enumerate(partitions)
     ]
 

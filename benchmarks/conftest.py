@@ -6,7 +6,7 @@ Scale knobs (environment variables):
 ``CALIBRO_BENCH_SCALE``
     App size multiplier (default ``0.25``).  ``1.0`` builds apps with
     220-610 methods (proportional to the paper's six apps); pure-Python
-    Ukkonen makes paper-absolute sizes (millions of instructions)
+    mining makes paper-absolute sizes (millions of instructions)
     impractical — see DESIGN.md.  The measured *ratios* are
     scale-stable; ``bench_scale_stability`` demonstrates it.
 ``CALIBRO_BENCH_REPS``

@@ -4,7 +4,7 @@
 ``calibro compare`` diffs two entries the caller picks by hand; CI wants
 the *unattended* version of that decision: after a pipeline appends its
 fresh builds to a ledger, fail the run iff any build regressed against
-the last known-good build of the **same** ``(config, engine, label)``.
+the last known-good build of the **same** ``(config, label)``.
 Two modes:
 
 * **single ledger** (the default): the newest entry per key is the
@@ -57,15 +57,17 @@ from repro.observability.diff import (  # noqa: E402
 from repro.observability.ledger import BuildLedger, LedgerEntry  # noqa: E402
 
 
-def entry_key(entry: LedgerEntry) -> tuple[str, str, str]:
+def entry_key(entry: LedgerEntry) -> tuple[str, str]:
     """The gate's identity for a build: entries compare only within the
-    same configuration, mining engine and app label."""
-    return (entry.config, entry.engine, entry.label)
+    same configuration and app label.  Ledger records from before
+    schema v5 also carry a mining ``engine``; it is ignored, so they
+    gate fresh records of the same ``(config, label)``."""
+    return (entry.config, entry.label)
 
 
-def latest_per_key(entries: list[LedgerEntry]) -> dict[tuple[str, str, str], LedgerEntry]:
+def latest_per_key(entries: list[LedgerEntry]) -> dict[tuple[str, str], LedgerEntry]:
     """Last-written entry for every key (ledger order is append order)."""
-    latest: dict[tuple[str, str, str], LedgerEntry] = {}
+    latest: dict[tuple[str, str], LedgerEntry] = {}
     for entry in entries:
         latest[entry_key(entry)] = entry
     return latest
@@ -73,9 +75,9 @@ def latest_per_key(entries: list[LedgerEntry]) -> dict[tuple[str, str, str], Led
 
 def split_candidates(
     entries: list[LedgerEntry],
-) -> dict[tuple[str, str, str], tuple[LedgerEntry | None, LedgerEntry]]:
+) -> dict[tuple[str, str], tuple[LedgerEntry | None, LedgerEntry]]:
     """Single-ledger mode: per key, ``(previous_entry_or_None, latest)``."""
-    out: dict[tuple[str, str, str], tuple[LedgerEntry | None, LedgerEntry]] = {}
+    out: dict[tuple[str, str], tuple[LedgerEntry | None, LedgerEntry]] = {}
     for entry in entries:
         key = entry_key(entry)
         previous = out[key][1] if key in out else None
@@ -153,7 +155,7 @@ def run_gate(
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         description="fail CI when a fresh ledger entry regresses vs the "
-        "last known-good entry for the same (config, engine, label)"
+        "last known-good entry for the same (config, label)"
     )
     parser.add_argument("ledger", help="JSONL build ledger holding the fresh builds")
     parser.add_argument(

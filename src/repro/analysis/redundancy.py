@@ -4,7 +4,8 @@ The four-step analysis behind Table 1 and Figure 3:
 
 1. map the binary code to a sequence of unsigned integers (here: the raw
    32-bit words, which is exactly the paper's "instruction hashing");
-2. build a suffix tree (Ukkonen);
+2. index it — the paper builds a suffix tree; the repeat miner's LCP
+   intervals are exactly that tree's internal nodes;
 3. enumerate repetitive sequences (internal nodes with >= 2 leaves);
 4. estimate the size savings with the Fig. 2 benefit model, claiming
    non-overlapping occurrences greedily in descending-benefit order.
@@ -25,9 +26,9 @@ from dataclasses import dataclass, field
 
 from repro.compiler.compiled import CompiledMethod
 from repro.core.benefit import evaluate
-from repro.suffixtree import DEFAULT_ENGINE, get_miner
+from repro.suffixtree import SuffixArrayMiner
 
-__all__ = ["RedundancyReport", "estimate_redundancy", "length_census"]
+__all__ = ["RedundancyReport", "estimate_redundancy", "length_census", "symbol_sequence"]
 
 
 @dataclass
@@ -57,15 +58,10 @@ class RedundancyReport:
         return dict(sorted(out.items()))
 
 
-def estimate_redundancy(
-    methods: list[CompiledMethod],
-    app_name: str = "",
-    *,
-    min_length: int = 2,
-    max_length: int = 64,
-    engine: str = DEFAULT_ENGINE,
-) -> RedundancyReport:
-    """Run the §2.2 estimator over compiled (pre-link) method code."""
+def symbol_sequence(methods: list[CompiledMethod]) -> list[int]:
+    """The estimator's symbol sequence (step 1): each code word as its
+    raw 32-bit value, with terminators, embedded data and method
+    boundaries mapped to unique (negative) separators."""
     symbols: list[int] = []
     for method in methods:
         meta = method.metadata
@@ -78,7 +74,19 @@ def estimate_redundancy(
         # A method boundary also separates: a "repeat" spanning two
         # unrelated methods is not a real outlining target.
         symbols.append(-2 - len(symbols))
-    miner = get_miner(engine)(symbols)
+    return symbols
+
+
+def estimate_redundancy(
+    methods: list[CompiledMethod],
+    app_name: str = "",
+    *,
+    min_length: int = 2,
+    max_length: int = 64,
+) -> RedundancyReport:
+    """Run the §2.2 estimator over compiled (pre-link) method code."""
+    symbols = symbol_sequence(methods)
+    miner = SuffixArrayMiner(symbols)
     repeats = miner.repeats(min_length=min_length, min_count=2, max_length=max_length)
     repeats.sort(key=lambda r: (-evaluate(r.length, r.count), -r.length, r.first))
 

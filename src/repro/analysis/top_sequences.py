@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.analysis.redundancy import symbol_sequence
 from repro.compiler.compiled import CompiledMethod
 from repro.core.benefit import evaluate
 from repro.core.patterns import (
@@ -20,7 +21,7 @@ from repro.core.patterns import (
 )
 from repro.isa import DecodeError, decode
 from repro.oat import layout
-from repro.suffixtree import DEFAULT_ENGINE, get_miner
+from repro.suffixtree import SuffixArrayMiner
 
 __all__ = ["SequenceReport", "TopSequence", "top_repeated_sequences"]
 
@@ -80,24 +81,13 @@ def top_repeated_sequences(
     min_length: int = 2,
     max_length: int = 16,
     rank_by: str = "repeats",
-    engine: str = DEFAULT_ENGINE,
 ) -> SequenceReport:
     """Rank repeated sequences by frequency (``repeats``, the paper's
     Observation-3 ranking) or by benefit-model savings (``saved``)."""
     if rank_by not in ("repeats", "saved"):
         raise ValueError("rank_by must be 'repeats' or 'saved'")
-    symbols: list[int] = []
-    for method in methods:
-        meta = method.metadata
-        terminators = set(meta.terminators) if meta else set()
-        for i in range(0, len(method.code), 4):
-            if i in terminators or (meta is not None and meta.in_embedded_data(i)):
-                symbols.append(-2 - len(symbols))
-            else:
-                symbols.append(int.from_bytes(method.code[i : i + 4], "little"))
-        symbols.append(-2 - len(symbols))
-
-    miner = get_miner(engine)(symbols)
+    symbols = symbol_sequence(methods)
+    miner = SuffixArrayMiner(symbols)
     repeats = miner.repeats(min_length=min_length, min_count=2, max_length=max_length)
     if rank_by == "repeats":
         repeats.sort(key=lambda r: (-r.count, -r.length, r.first))

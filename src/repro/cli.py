@@ -54,7 +54,6 @@ from repro.core.pipeline import CalibroConfig, build_app
 from repro.core.staged import compile_stage, link_stage, outline_stage
 from repro.dex.serialize import load_dexfile, save_dexfile
 from repro.oat.oatfile import OatFile
-from repro.suffixtree import DEFAULT_ENGINE, ENGINES
 
 __all__ = ["main"]
 
@@ -228,7 +227,6 @@ def _build_config(args) -> CalibroConfig:
         ltbo_enabled=not args.no_ltbo,
         parallel_groups=args.groups,
         hot_filter=hot_filter,
-        engine=args.engine,
         merging=args.merging,
         name="+".join(parts) if parts else "baseline",
     )
@@ -299,10 +297,6 @@ def _serve_config(args) -> CalibroConfig:
             config = CalibroConfig.from_dict(json.load(fh))
     else:
         config = CalibroConfig.cto_ltbo_plopti(groups=args.groups)
-    if getattr(args, "engine", None):
-        from dataclasses import replace as dc_replace
-
-        config = dc_replace(config, engine=args.engine)
     if getattr(args, "merging", False) and not config.merging:
         config = config.with_merging()
     return config
@@ -798,15 +792,13 @@ def _cmd_history(args) -> int:
             config,
             label or "-",
             len(series),
-            last.engine,
             f"{last.text_size_after:,}",
             pct(last.reduction),
             f"{last.reduction - first.reduction:+.2%}",
             f"{last.wall_seconds:.3f}s",
         ])
     print(format_table(
-        ["config", "label", "builds", "engine", "text", "reduction",
-         "drift", "wall"],
+        ["config", "label", "builds", "text", "reduction", "drift", "wall"],
         rows,
     ))
     if args.plot:
@@ -892,8 +884,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-cto", action="store_true")
     p.add_argument("--no-ltbo", action="store_true")
     p.add_argument("--groups", type=int, default=1)
-    p.add_argument("--engine", choices=sorted(ENGINES), default=DEFAULT_ENGINE,
-                   help="repeat-mining backend for LTBO.2")
     p.add_argument("--merging", action="store_true",
                    help="run the global function merging pass after "
                         "outlining (fold identical functions, parameterize "
@@ -945,8 +935,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="CalibroConfig dict (the to_dict/from_dict format)")
     p.add_argument("--groups", type=int, default=8,
                    help="PlOpti partitions when no --config is given")
-    p.add_argument("--engine", choices=sorted(ENGINES), default=None,
-                   help="repeat-mining backend (overrides the --config file)")
     p.add_argument("--merging", action="store_true",
                    help="run the global function merging pass after "
                         "outlining (overrides the --config file)")

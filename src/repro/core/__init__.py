@@ -8,7 +8,7 @@
 * PlOpti — :mod:`repro.core.parallel` (§3.4.1)
 * HfOpti — :mod:`repro.core.hotfilter` (§3.4.2)
 * The Fig. 5 pipeline — :mod:`repro.core.pipeline`, with its
-  size-reduction passes registered through :mod:`repro.core.passes`
+  size-reduction passes in :mod:`repro.core.passes`
 * Global function merging — :mod:`repro.core.merge` (post-outlining)
 * The Fig. 2 benefit model — :mod:`repro.core.benefit`
 
@@ -34,10 +34,6 @@ _EXPORTS = {
     "OutlinePass": "repro.core.passes",
     "PassContext": "repro.core.passes",
     "PassState": "repro.core.passes",
-    "SizePass": "repro.core.passes",
-    "get_pass": "repro.core.passes",
-    "pass_names": "repro.core.passes",
-    "register_pass": "repro.core.passes",
     "CandidateSelection": "repro.core.candidates",
     "select_candidates": "repro.core.candidates",
     "CalibroError": "repro.core.errors",
@@ -119,10 +115,6 @@ if TYPE_CHECKING:  # pragma: no cover - static analysis only
         OutlinePass,
         PassContext,
         PassState,
-        SizePass,
-        get_pass,
-        pass_names,
-        register_pass,
     )
     from repro.core.patch import PatchError, patch_pc_relative
     from repro.core.patterns import ThunkCache, count_pattern_occurrences

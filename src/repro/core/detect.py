@@ -187,7 +187,7 @@ def map_group(
     methods: list[tuple[int, CompiledMethod]],
     hot_names: frozenset[str] = frozenset(),
 ) -> GroupSequence:
-    """Build the group symbol sequence for suffix-tree construction.
+    """Build the group symbol sequence for repeat mining.
 
     ``methods`` carries ``(method_index, compiled_method)`` pairs —
     indices refer to the caller's full method list.  Hot methods (HfOpti)

@@ -44,11 +44,11 @@ each thunk's parameter loads and jump against the saved bytes.  Hot
 functions (HfOpti) are never thunked — the indirection costs a branch
 on a hot path — though they still fold (stage 1 adds no indirection).
 
-The pass is deterministic and engine-invariant: grouping keys on
-content, representatives are first-in-method-order, and the resulting
-:class:`MergePlan` is a pure function of the input — which is why it
-can be content-addressed (:func:`merge_node_key`) and spliced from the
-service cache by the incremental build graph.
+The pass is deterministic: grouping keys on content, representatives
+are first-in-method-order, and the resulting :class:`MergePlan` is a
+pure function of the input — which is why it can be content-addressed
+(:func:`merge_node_key`) and spliced from the service cache by the
+incremental build graph.
 """
 
 from __future__ import annotations

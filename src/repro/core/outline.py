@@ -4,8 +4,8 @@ Given one group of candidate methods (the whole candidate set in the
 single-tree configuration; one PlOpti partition otherwise):
 
 1. map methods to symbol sequences (:mod:`repro.core.detect`);
-2. index the sequence with the configured repeat-mining engine (the
-   Ukkonen suffix tree, or the SA-IS suffix array — see
+2. index the sequence with the repeat miner (a suffix array whose LCP
+   intervals are the paper's suffix-tree internal nodes — see
    :mod:`repro.suffixtree.miners`) and enumerate repeats;
 3. greedily claim occurrences in descending benefit-model order —
    "based on ... the benefit model, we can also choose the sequence with
@@ -35,7 +35,7 @@ from repro.core.metadata import MethodMetadata
 from repro.core.patch import patch_pc_relative
 from repro.isa import instructions as ins
 from repro.isa import registers as regs
-from repro.suffixtree import DEFAULT_ENGINE, RepeatMiner, get_miner
+from repro.suffixtree import SuffixArrayMiner
 
 __all__ = ["GroupOutlineResult", "OutlineStats", "OutlinedFunction", "outline_group"]
 
@@ -121,16 +121,9 @@ def outline_group(
     min_length: int = DEFAULT_MIN_LENGTH,
     max_length: int = DEFAULT_MAX_LENGTH,
     min_saved: int = DEFAULT_MIN_SAVED,
-    engine: str = DEFAULT_ENGINE,
     symbol_prefix: str = "MethodOutliner",
 ) -> GroupOutlineResult:
-    """Outline one group of candidate methods.
-
-    ``engine`` selects the repeat-mining backend (see
-    :data:`repro.suffixtree.ENGINES`); every engine yields the same
-    repeats and occurrence sets, and the selection tie-break below is
-    engine-neutral, so the rewritten bytes do not depend on the choice.
-    """
+    """Outline one group of candidate methods."""
     stats = OutlineStats(candidate_methods=len(candidates))
     stats.bytes_before = sum(m.size for _, m in candidates)
     if not candidates:
@@ -138,7 +131,7 @@ def outline_group(
 
     t0 = time.perf_counter()
     group = map_group(candidates, hot_names)
-    miner = get_miner(engine)(group.symbols)
+    miner = SuffixArrayMiner(group.symbols)
     stats.sequence_symbols = len(group.symbols)
     stats.tree_nodes = miner.node_count
     stats.build_seconds = time.perf_counter() - t0
@@ -175,7 +168,7 @@ def outline_group(
 
 
 def _select(
-    miner: RepeatMiner,
+    miner: SuffixArrayMiner,
     group: GroupSequence,
     min_length: int,
     max_length: int,
@@ -189,8 +182,9 @@ def _select(
     # occurrence count) upper-bounds the realised benefit, so once the
     # estimate drops below the threshold nothing later can qualify.
     # The final tie-break is the first occurrence position — unlike an
-    # index-internal node id it is the same for every engine, keeping
-    # the claim order (and the output bytes) engine-invariant.
+    # index-internal node id it is the same in the suffix array as in
+    # the paper's suffix tree, so the claim order (and the output
+    # bytes) do not depend on the index.
     repeats.sort(key=lambda r: (-benefit.evaluate(r.length, r.count), -r.length, r.first))
     claimed = bytearray(len(group.symbols))
     decisions: list[OutlinedFunction] = []

@@ -20,7 +20,7 @@ service layer:
 
 * ``cache`` — an outline cache with ``group_key(payload)``,
   ``lookup_chunk(key, prefix)`` and ``store_chunk(key, prefix, result)``;
-  cached groups skip the suffix-tree work entirely (see
+  cached groups skip the mining work entirely (see
   :class:`repro.service.OutlineCache`);
 * ``pool`` — an executor with ``map_groups(worker, payloads)``; used
   instead of :func:`repro.suffixtree.parallel.map_over_groups` (see
@@ -44,14 +44,13 @@ from repro.core.outline import (
     OutlineStats,
     outline_group,
 )
-from repro.suffixtree import DEFAULT_ENGINE, get_miner
 from repro.suffixtree.parallel import clamp_jobs, map_over_groups, partition_evenly
 
 __all__ = ["OutlinePayload", "ParallelOutlineResult", "outline_partitioned"]
 
 #: One group's complete work order: everything :func:`outline_group`
 #: needs, in a picklable tuple — ``(candidates, hot_names, min_length,
-#: max_length, min_saved, engine, symbol_prefix)``.  The cache key is
+#: max_length, min_saved, symbol_prefix)``.  The cache key is
 #: derived from exactly these fields (see ``repro/service/cache.py``).
 OutlinePayload = tuple
 
@@ -84,14 +83,13 @@ class ParallelOutlineResult:
 
 
 def _worker(payload: OutlinePayload) -> GroupOutlineResult:
-    candidates, hot_names, min_length, max_length, min_saved, engine, prefix = payload
+    candidates, hot_names, min_length, max_length, min_saved, prefix = payload
     return outline_group(
         candidates,
         hot_names=hot_names,
         min_length=min_length,
         max_length=max_length,
         min_saved=min_saved,
-        engine=engine,
         symbol_prefix=prefix,
     )
 
@@ -104,7 +102,6 @@ def outline_partitioned(
     min_length: int = DEFAULT_MIN_LENGTH,
     max_length: int = DEFAULT_MAX_LENGTH,
     min_saved: int = DEFAULT_MIN_SAVED,
-    engine: str = DEFAULT_ENGINE,
     jobs: int | None = None,
     seed: int = 0,
     symbol_prefix: str = "MethodOutliner",
@@ -113,13 +110,11 @@ def outline_partitioned(
 ) -> ParallelOutlineResult:
     """Outline with K per-group repeat-mining indexes.
 
-    ``groups=1`` degenerates to the single global index.  ``engine``
-    selects the mining backend for every group (validated here, before
-    any worker forks — an unknown name is a :class:`ConfigError`, not a
-    ``KeyError`` inside the pool).  ``jobs`` defaults to ``groups`` and
-    is *clamped to the CPU count* whether defaulted or explicit — asking
-    for 64 jobs on a 4-core host schedules 4, not 64 (the clamped value
-    is recorded as the ``plopti.jobs`` gauge).  ``symbol_prefix`` namespaces the outlined
+    ``groups=1`` degenerates to the single global index.  ``jobs``
+    defaults to ``groups`` and is *clamped to the CPU count* whether
+    defaulted or explicit — asking for 64 jobs on a 4-core host
+    schedules 4, not 64 (the clamped value is recorded as the
+    ``plopti.jobs`` gauge).  ``symbol_prefix`` namespaces the outlined
     functions (multi-round callers pass a per-round prefix to keep
     symbols unique).  ``cache``/``pool`` are the optional build-service
     collaborators described in the module docstring.
@@ -128,12 +123,10 @@ def outline_partitioned(
         raise ConfigError("groups must be >= 1")
     if jobs is not None and jobs < 1:
         raise ConfigError("jobs must be >= 1")
-    get_miner(engine)  # fail fast on an unknown engine
     with obs.span("ltbo.partition"):
         partitions = partition_evenly(candidates, groups, seed=seed)
     payloads: list[OutlinePayload] = [
-        (part, hot_names, min_length, max_length, min_saved, engine,
-         f"{symbol_prefix}$g{gi}")
+        (part, hot_names, min_length, max_length, min_saved, f"{symbol_prefix}$g{gi}")
         for gi, part in enumerate(partitions)
     ]
     # The documented clamp applies to *every* jobs value, explicit or
@@ -141,12 +134,6 @@ def outline_partitioned(
     # and the plopti.jobs gauge records the clamped truth.
     effective_jobs = clamp_jobs(jobs if jobs is not None else groups, groups)
     obs.gauge_set("plopti.jobs", effective_jobs)
-    # Static-literal gauge per engine (the docs-coverage convention):
-    # a trace shows which backends mined this build.
-    if engine == "suffixtree":
-        obs.gauge_set("mine.engine.suffixtree", 1)
-    elif engine == "suffixarray":
-        obs.gauge_set("mine.engine.suffixarray", 1)
     tracer = obs.current_tracer()
     with obs.span("ltbo.outline") as outline_span:
         results: list[GroupOutlineResult | None] = [None] * len(payloads)
@@ -159,7 +146,7 @@ def outline_partitioned(
             keys = [cache.group_key(p) for p in payloads]
             misses = []
             for index, payload in enumerate(payloads):
-                hit = cache.lookup_chunk(keys[index], payload[6])
+                hit = cache.lookup_chunk(keys[index], payload[5])
                 if hit is not None:
                     results[index] = hit
                 else:
@@ -173,7 +160,7 @@ def outline_partitioned(
             for index, result in zip(misses, computed):
                 results[index] = result
                 if cache is not None:
-                    cache.store_chunk(keys[index], payloads[index][6], result)
+                    cache.store_chunk(keys[index], payloads[index][5], result)
     miss_set = set(misses)
     combined = ParallelOutlineResult(
         rewritten={},

@@ -1,11 +1,8 @@
-"""The pluggable size-reduction pass pipeline.
+"""The size-reduction pass pipeline.
 
-Historically the Fig. 5 pipeline hard-coded one branch per reduction
-(``if config.ltbo_enabled: ...``).  With global function merging the
-pipeline gained a second pass, so — mirroring how repeat mining sits
-behind the :class:`~repro.suffixtree.RepeatMiner` protocol — the
-passes themselves are now registered, ordered instances of a
-:class:`SizePass` protocol:
+The passes are named, ordered classes sharing one shape — a ``name``,
+a ``phase`` (the progress and timing-bucket label) and
+``run(state, config, context)``:
 
 * ``"outline"`` — LTBO.2 (candidate selection → partitioned repeat
   mining → occurrence rewriting), :class:`OutlinePass`;
@@ -13,21 +10,20 @@ passes themselves are now registered, ordered instances of a
   (:mod:`repro.core.merge`), :class:`MergePass`.
 
 :meth:`CalibroConfig.passes <repro.core.pipeline.CalibroConfig.passes>`
-exposes the ordered pass list (derived from ``ltbo_enabled`` /
-``merging``, or overridden by the validated ``size_passes`` field) and
-``build_app`` simply runs each named pass over a shared
-:class:`PassState`.  Unknown names raise
-:class:`~repro.core.errors.ConfigError` — at config construction *and*
-at :func:`get_pass`.
+derives the ordered pass list from ``ltbo_enabled`` / ``merging``, and
+``build_app`` runs each named pass (``PASSES[name]()``) over a shared
+:class:`PassState`.  A pass transforms the state in place; it must be
+deterministic in the state and config (byte-identical reruns) and must
+leave ``state.methods`` linkable (unique names, relocations resolvable
+given ``state.aliases``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Protocol, runtime_checkable
+from typing import TYPE_CHECKING
 
 from repro import observability as obs
-from repro.core.errors import ConfigError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.compiler.compiled import CompiledMethod
@@ -43,10 +39,6 @@ __all__ = [
     "PASSES",
     "PassContext",
     "PassState",
-    "SizePass",
-    "get_pass",
-    "pass_names",
-    "register_pass",
 ]
 
 
@@ -80,35 +72,8 @@ class PassState:
     merge: "MergeResult | None" = None
 
 
-@runtime_checkable
-class SizePass(Protocol):
-    """What the pipeline requires of one size-reduction pass.
-
-    Attributes
-    ----------
-    name:
-        The registry key (``config.passes`` lists these).
-    phase:
-        The progress-phase / timing-bucket label (``"ltbo"``,
-        ``"merge"``) reported through ``phase_hook`` and
-        ``CalibroBuild.timings``.
-    """
-
-    name: str
-    phase: str
-
-    def run(
-        self, state: PassState, config: "CalibroConfig", context: PassContext
-    ) -> None:
-        """Transform ``state`` in place.  Must be deterministic in the
-        state and config (byte-identical reruns), and must leave
-        ``state.methods`` linkable (unique names, resolvable
-        relocations given ``state.aliases``)."""
-        ...
-
-
 class OutlinePass:
-    """LTBO.2 as a registered pass (paper §3.3, §3.4.1)."""
+    """LTBO.2 as a pass (paper §3.3, §3.4.1)."""
 
     name = "outline"
     phase = "ltbo"
@@ -119,9 +84,7 @@ class OutlinePass:
         from repro.core.candidates import select_candidates
         from repro.core.parallel import outline_partitioned
 
-        with obs.span(
-            "build.ltbo", groups=config.parallel_groups, engine=config.engine
-        ):
+        with obs.span("build.ltbo", groups=config.parallel_groups):
             with obs.span("ltbo.select_candidates"):
                 state.selection = select_candidates(state.methods)
             hot_names = (
@@ -136,7 +99,6 @@ class OutlinePass:
                 min_length=config.min_length,
                 max_length=config.max_length,
                 min_saved=config.min_saved,
-                engine=config.engine,
                 jobs=config.jobs,
                 seed=config.partition_seed,
                 cache=context.cache,
@@ -149,8 +111,7 @@ class OutlinePass:
 
 
 class MergePass:
-    """Global function merging as a registered pass
-    (:mod:`repro.core.merge`)."""
+    """Global function merging as a pass (:mod:`repro.core.merge`)."""
 
     name = "merge"
     phase = "merge"
@@ -177,39 +138,8 @@ class MergePass:
             state.merge = result
 
 
-#: Registered pass name → zero-argument factory, in default pipeline
-#: order.  :func:`register_pass` extends it (tests, experiments).
+#: Pass name → pass class, in pipeline order.
 PASSES: dict[str, type] = {
     OutlinePass.name: OutlinePass,
     MergePass.name: MergePass,
 }
-
-
-def pass_names() -> tuple[str, ...]:
-    """The registered pass names, registry order."""
-    return tuple(PASSES)
-
-
-def get_pass(name: str) -> SizePass:
-    """Instantiate a registered pass; unknown names raise
-    :class:`~repro.core.errors.ConfigError`."""
-    factory = PASSES.get(name)
-    if factory is None:
-        raise ConfigError(
-            f"unknown size pass {name!r}; expected one of: "
-            f"{', '.join(sorted(PASSES))}"
-        )
-    instance = factory()
-    if not isinstance(instance, SizePass):  # pragma: no cover - registry misuse
-        raise ConfigError(f"registered pass {name!r} does not implement SizePass")
-    return instance
-
-
-def register_pass(factory: type) -> type:
-    """Register a :class:`SizePass` factory under ``factory.name``
-    (usable as a decorator); returns the factory unchanged."""
-    name = getattr(factory, "name", None)
-    if not isinstance(name, str) or not name:
-        raise ConfigError("a size pass must define a non-empty 'name'")
-    PASSES[name] = factory
-    return factory

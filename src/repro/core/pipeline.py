@@ -1,7 +1,7 @@
 """The end-to-end Calibro build pipeline (paper Fig. 5).
 
 ``build_app`` runs dex2oat (with or without CTO), then LTBO.2 over the
-candidate methods (global suffix tree or K PlOpti partitions, with the
+candidate methods (one global index or K PlOpti partitions, with the
 optional HfOpti mask), then the linking phase — producing the final OAT
 image plus the per-phase timing breakdown Table 6 reports.
 
@@ -41,12 +41,11 @@ from repro.core.outline import (
     OutlineStats,
 )
 from repro.core.parallel import ParallelOutlineResult
-from repro.core.passes import PASSES, PassContext, PassState, get_pass
+from repro.core.passes import PASSES, PassContext, PassState
 from repro.dex.method import DexFile
 from repro.oat.linker import link
 from repro.oat.oatfile import OatFile
 from repro.observability import Trace
-from repro.suffixtree import DEFAULT_ENGINE, ENGINES
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.merge import MergeResult
@@ -58,15 +57,14 @@ __all__ = ["CalibroBuild", "CalibroConfig", "SUMMARY_KEYS", "SUMMARY_SCHEMA_VERS
 #: v2 added ``engine`` (the repeat-mining backend); v3 added the
 #: merging-pass fields (``merging``, ``functions_folded``,
 #: ``functions_merged``, ``merge_saved_bytes``) and the ``merge``
-#: timing bucket.
-SUMMARY_SCHEMA_VERSION = 3
+#: timing bucket; v4 removed ``engine`` (one miner remains).
+SUMMARY_SCHEMA_VERSION = 4
 
 #: Every key ``summary()`` emits, in emission order.  ``docs/cli.md``
 #: documents each one and ``tests/test_cli_docs.py`` enforces that.
 SUMMARY_KEYS = (
     "schema_version",
     "config",
-    "engine",
     "text_size",
     "data_size",
     "methods",
@@ -95,7 +93,7 @@ class CalibroConfig:
     #: Conservative small-method inlining before the pass pipeline
     #: (related-work interaction study; the paper's rows keep it off).
     inlining: bool = False
-    #: Number of suffix-tree partitions; 1 = single global tree.
+    #: Number of PlOpti partitions; 1 = one global index.
     parallel_groups: int = 1
     jobs: int | None = None
     hot_filter: HotFunctionFilter | None = None
@@ -103,27 +101,13 @@ class CalibroConfig:
     max_length: int = DEFAULT_MAX_LENGTH
     min_saved: int = DEFAULT_MIN_SAVED
     partition_seed: int = 0
-    #: Repeat-mining backend for LTBO.2 (see
-    #: :data:`repro.suffixtree.ENGINES`).  Engines are interchangeable —
-    #: identical output bytes — but not cache-compatible: the outline
-    #: cache keys on the engine name.
-    engine: str = DEFAULT_ENGINE
     #: Run the post-outlining global function merging pass
     #: (:mod:`repro.core.merge`).  Off by default, so the paper's
     #: evaluation rows are unchanged.
     merging: bool = False
-    #: Explicit ordered size-pass list (see :mod:`repro.core.passes`);
-    #: ``None`` derives the list from ``ltbo_enabled`` / ``merging``.
-    #: Unknown or repeated pass names raise :class:`ConfigError`.
-    size_passes: tuple[str, ...] | None = None
     name: str = "baseline"
 
     def __post_init__(self) -> None:
-        if self.engine not in ENGINES:
-            raise ConfigError(
-                f"unknown engine {self.engine!r}; expected one of: "
-                f"{', '.join(sorted(ENGINES))}"
-            )
         if self.parallel_groups < 1:
             raise ConfigError(
                 f"parallel_groups must be >= 1, got {self.parallel_groups}"
@@ -139,31 +123,11 @@ class CalibroConfig:
             )
         if self.min_saved < 0:
             raise ConfigError(f"min_saved must be >= 0, got {self.min_saved}")
-        if self.size_passes is not None:
-            if isinstance(self.size_passes, str) or not isinstance(
-                self.size_passes, (tuple, list)
-            ):
-                raise ConfigError("size_passes must be a sequence of pass names or null")
-            names = tuple(self.size_passes)
-            object.__setattr__(self, "size_passes", names)
-            for pass_name in names:
-                if pass_name not in PASSES:
-                    raise ConfigError(
-                        f"unknown size pass {pass_name!r}; expected one of: "
-                        f"{', '.join(sorted(PASSES))}"
-                    )
-            if len(set(names)) != len(names):
-                raise ConfigError("size_passes must not repeat a pass")
 
     @property
     def passes(self) -> tuple[str, ...]:
-        """The ordered size-reduction passes this config runs (read-only).
-
-        Derived from ``ltbo_enabled`` / ``merging`` unless
-        ``size_passes`` overrides the list explicitly.
-        """
-        if self.size_passes is not None:
-            return tuple(self.size_passes)
+        """The ordered size-reduction passes this config runs, derived
+        from ``ltbo_enabled`` / ``merging`` (read-only)."""
         derived: list[str] = []
         if self.ltbo_enabled:
             derived.append("outline")
@@ -240,9 +204,7 @@ class CalibroConfig:
             "max_length": self.max_length,
             "min_saved": self.min_saved,
             "partition_seed": self.partition_seed,
-            "engine": self.engine,
             "merging": self.merging,
-            "size_passes": list(self.size_passes) if self.size_passes is not None else None,
             "hot_filter": hot,
         }
 
@@ -274,7 +236,7 @@ class CalibroConfig:
         known = {
             "name", "cto_enabled", "ltbo_enabled", "inlining", "parallel_groups",
             "jobs", "min_length", "max_length", "min_saved", "partition_seed",
-            "engine", "merging", "size_passes",
+            "merging",
         }
         unknown = sorted(set(payload) - known)
         if unknown:
@@ -318,7 +280,6 @@ class CalibroBuild:
         return {
             "schema_version": SUMMARY_SCHEMA_VERSION,
             "config": self.config.name,
-            "engine": self.config.engine,
             "text_size": self.text_size,
             "data_size": self.oat.data_size,
             "methods": len(self.oat.methods),
@@ -397,7 +358,7 @@ def _run_passes(
     context = PassContext(dexfile=dexfile, cache=cache, pool=pool)
     pass_seconds: dict[str, float] = {}
     for pass_name in config.passes:
-        size_pass = get_pass(pass_name)
+        size_pass = PASSES[pass_name]()
         _phase(phase_hook, size_pass.phase)
         started = time.perf_counter()
         size_pass.run(state, config, context)

@@ -21,7 +21,6 @@ from repro.core.parallel import outline_partitioned
 from repro.dex.method import DexFile
 from repro.oat.linker import link
 from repro.oat.oatfile import OatFile
-from repro.suffixtree import DEFAULT_ENGINE
 
 __all__ = ["compile_stage", "link_stage", "outline_stage"]
 
@@ -53,7 +52,6 @@ def outline_stage(
     min_length: int = DEFAULT_MIN_LENGTH,
     max_length: int = DEFAULT_MAX_LENGTH,
     min_saved: int = DEFAULT_MIN_SAVED,
-    engine: str = DEFAULT_ENGINE,
     jobs: int | None = None,
     seed: int = 0,
     rounds: int = 1,
@@ -86,7 +84,6 @@ def outline_stage(
                 min_length=min_length,
                 max_length=max_length,
                 min_saved=min_saved,
-                engine=engine,
                 jobs=jobs,
                 seed=seed + round_index,
                 symbol_prefix=prefix,

@@ -4,8 +4,8 @@ A single trace sees one build; the repo's evaluation story (Tables 4-7)
 is a *trajectory* — size reduction and build-time overhead tracked
 across configurations and across time.  :class:`BuildLedger` is the
 durable half of that: an append-only JSONL file where every build
-deposits one schema-versioned :class:`LedgerEntry` (config, engine,
-label, text size before/after, reduction, wall time, cache traffic and
+deposits one schema-versioned :class:`LedgerEntry` (config, label,
+text size before/after, reduction, wall time, cache traffic and
 a digest of the full trace).  ``calibro build --ledger`` and
 :class:`~repro.service.BuildService` write it; ``calibro history``
 summarizes it and ``calibro compare`` diffs entries for regression
@@ -52,7 +52,9 @@ __all__ = [
 #: folds its saved bytes into ``text_size_before``.
 #: v4 added ``trace_id`` — the distributed-trace id of the build, so a
 #: ledger regression joins back to its full trace document.
-LEDGER_SCHEMA_VERSION = 4
+#: v5 removed ``engine`` (one repeat miner remains); the ``engine`` key
+#: of v1–v4 records is ignored on load.
+LEDGER_SCHEMA_VERSION = 5
 
 
 def trace_digest(trace: "Trace | None") -> str:
@@ -74,8 +76,6 @@ class LedgerEntry:
 
     #: Configuration name (e.g. ``CTO+LTBO+PlOpti``).
     config: str
-    #: Repeat-mining backend the build used.
-    engine: str
     #: App label (input filename stem for CLI builds, ``BuildRequest.
     #: label`` for service builds).
     label: str = ""
@@ -125,7 +125,6 @@ class LedgerEntry:
         out: dict[str, Any] = {
             "schema_version": self.schema_version,
             "config": self.config,
-            "engine": self.engine,
             "label": self.label,
             "text_size_before": self.text_size_before,
             "text_size_after": self.text_size_after,
@@ -163,7 +162,6 @@ class LedgerEntry:
             )
         return cls(
             config=str(data.get("config", "")),
-            engine=str(data.get("engine", "")),
             label=str(data.get("label", "")),
             text_size_before=int(data.get("text_size_before", 0)),
             text_size_after=int(data.get("text_size_after", 0)),
@@ -200,7 +198,6 @@ def entry_from_build(
         bytes_saved += build.merge.stats.saved_bytes
     return LedgerEntry(
         config=build.config.name,
-        engine=build.config.engine,
         label=label,
         text_size_before=build.text_size + bytes_saved,
         text_size_after=build.text_size,

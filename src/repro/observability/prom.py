@@ -75,9 +75,9 @@ def render_prometheus(
     """Render a trace's counters/gauges/histograms as exposition text.
 
     ``info`` adds the static ``calibro_build_info`` labelset (value
-    always ``1`` — the node-exporter ``build_info`` idiom: version,
-    protocol version, engine travel as labels, so a scraper can join
-    them onto any series).  ``extra_lines`` appends caller-rendered
+    always ``1`` — the node-exporter ``build_info`` idiom: package and
+    protocol version travel as labels, so a scraper can join them onto
+    any series).  ``extra_lines`` appends caller-rendered
     exposition lines verbatim — the mechanism behind the serve front
     door's per-tenant labeled series, which have no place in the
     label-less registry model.

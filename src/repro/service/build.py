@@ -1,7 +1,7 @@
 """The batch build service: persistent pool + content-addressed caching.
 
-``build_app`` is a one-shot: every call recompiles, rebuilds every
-suffix tree, and (pre-service) forked a fresh process pool.  A fleet
+``build_app`` is a one-shot: every call recompiles, re-mines every
+group, and (pre-service) forked a fresh process pool.  A fleet
 build farm does the opposite — it builds *many* apps, *repeatedly*,
 with most inputs unchanged between runs.  :class:`BuildService` is that
 amortizing layer:
@@ -10,7 +10,7 @@ amortizing layer:
   service lifetime (timeout + retry + serial fallback per group);
 * an :class:`~repro.service.cache.OutlineCache` keyed on group content,
   so unchanged methods across rebuilds and identical groups across apps
-  skip the suffix-tree work;
+  skip the mining work;
 * a compile cache over the same store, keyed on the dex content and
   compile flags, so an unchanged app skips dex2oat entirely;
 * ``service.*`` spans/counters in the existing observability layer, and
@@ -49,20 +49,14 @@ from repro.service.graph import BuildGraph, GraphDelta, dex_node_key
 from repro.service.pool import WorkerPool
 from repro.service.protocol import PROTOCOL_VERSION
 from repro.service.shard import ShardExecutor
-from repro.suffixtree import DEFAULT_ENGINE
 
 __all__ = ["BuildReport", "BuildRequest", "BuildService", "build_info_labels"]
 
 
 def build_info_labels() -> dict[str, str]:
-    """The static ``calibro_build_info`` labelset: package version, wire
-    protocol version and default mining engine (see
-    ``docs/observability.md``)."""
-    return {
-        "version": __version__,
-        "protocol": str(PROTOCOL_VERSION),
-        "engine": DEFAULT_ENGINE,
-    }
+    """The static ``calibro_build_info`` labelset: package version and
+    wire protocol version (see ``docs/observability.md``)."""
+    return {"version": __version__, "protocol": str(PROTOCOL_VERSION)}
 
 
 @dataclass(frozen=True)

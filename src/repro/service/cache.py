@@ -2,12 +2,11 @@
 
 ``outline_group`` is a pure function of its payload: the candidate
 methods (code bytes, relocations, metadata, StackMaps), the hot-method
-mask restricted to those methods, the ``min_length`` /
-``max_length`` / ``min_saved`` thresholds, and the repeat-mining
-engine.  The cache therefore keys
+mask restricted to those methods, and the ``min_length`` /
+``max_length`` / ``min_saved`` thresholds.  The cache therefore keys
 each group result on a SHA-256 over exactly those inputs — unchanged
 methods across rebuilds, and identical method groups across different
-apps in a batch, hit the cache instead of rebuilding suffix trees.
+apps in a batch, hit the cache instead of being mined again.
 
 Key properties:
 
@@ -80,7 +79,8 @@ __all__ = [
 #: v2: the payload grew the repeat-mining engine name (key material).
 #: v3: the store also holds merge plans (:mod:`repro.core.merge`) and
 #: configs carry the merging-pass fields in their key material.
-_FORMAT_VERSION = 3
+#: v4: the engine name left the payload again (one miner remains).
+_FORMAT_VERSION = 4
 
 #: Default disk budget: plenty for a CI fleet of generated apps while
 #: still exercising eviction in long batch runs.
@@ -95,10 +95,46 @@ CACHE_ROLES = ("supervisor", "worker")
 #: a live writer's in-flight entry and are left alone.
 _TMP_MAX_AGE_SECONDS = 300.0
 
-#: Per-process sequence for temp-file names: two threads of one process
+#: Per-process sequence for staging names: two threads of one process
 #: (the async front door runs builds on executor threads) must not
 #: share a staging path any more than two processes may.
 _TMP_SEQ = itertools.count()
+
+
+def stage_path(path: Path) -> Path:
+    """A staging path for *path* unique to this writer (pid + sequence):
+    two processes (or two front-door threads) publishing the same file
+    must never interleave bytes into, or publish, one stage file."""
+    return path.with_name(f"{path.stem}.{os.getpid()}.{next(_TMP_SEQ)}.tmp")
+
+
+def publish_atomically(path: Path, data: bytes) -> None:
+    """Write *data* to a per-writer stage file, then ``os.replace`` it
+    onto *path*: readers see the old bytes or the new ones, never a torn
+    file.  On ``OSError`` the stage file is dropped (best effort, so a
+    failed write cannot strand a growing orphan) and the error
+    propagates."""
+    tmp = stage_path(path)
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except OSError:
+        with contextlib.suppress(OSError):
+            tmp.unlink(missing_ok=True)
+        raise
+
+
+def sweep_stale_stage_files(directory: Path, pattern: str) -> None:
+    """Delete the stage files under *directory* matching *pattern* that
+    crashed writers abandoned.  Only stale ones go: a live writer's
+    in-flight stage file is seconds old, an orphan is minutes old."""
+    cutoff = time.time() - _TMP_MAX_AGE_SECONDS
+    for path in directory.glob(pattern):
+        try:
+            if path.stat().st_mtime < cutoff:
+                path.unlink()
+        except OSError:
+            continue  # a concurrent sweeper (or the writer) got it
 
 
 def _hash_int(h, value: int) -> None:
@@ -361,26 +397,17 @@ class OutlineCache:
         :data:`repro.core.parallel.OutlinePayload`); the symbol prefix is
         excluded — see the module docstring.
 
-        The repeat-mining ``engine`` *is* key material even though every
-        engine produces identical bytes: keying per engine keeps each
-        backend's results verifiable on their own (a cross-engine hit
-        would mask an engine divergence instead of surfacing it), and
-        the guarantee is cheap — one rebuild per engine switch.
-
         This key doubles as the **chunk node key** in the build
         dependency graph (:mod:`repro.service.graph`): a group node
         whose key is unchanged splices its outlined chunk from here
         instead of re-mining.
         """
-        candidates, hot_names, min_length, max_length, min_saved, engine, _prefix = (
-            payload
-        )
+        candidates, hot_names, min_length, max_length, min_saved, _prefix = payload
         h = hashlib.sha256()
         _hash_int(h, _FORMAT_VERSION)
         _hash_int(h, min_length)
         _hash_int(h, max_length)
         _hash_int(h, min_saved)
-        _hash_str(h, engine)
         _hash_int(h, len(candidates))
         for index, method in candidates:
             _hash_int(h, index)
@@ -391,10 +418,10 @@ class OutlineCache:
     def lookup_group(self, payload) -> GroupOutlineResult | None:
         """Return the cached result for ``payload`` (re-branded to its
         symbol prefix), or ``None`` on a miss."""
-        return self.lookup_chunk(self.group_key(payload), payload[6])
+        return self.lookup_chunk(self.group_key(payload), payload[5])
 
     def store_group(self, payload, result: GroupOutlineResult) -> None:
-        self.store_chunk(self.group_key(payload), payload[6], result)
+        self.store_chunk(self.group_key(payload), payload[5], result)
 
     # -- chunk access by node key (the build-graph splice path) -------------
 
@@ -582,14 +609,6 @@ class OutlineCache:
             pass
         return payload["value"]
 
-    def _tmp_path(self, key: str) -> Path:
-        """A staging path unique to this writer: two processes (or two
-        front-door threads) racing to publish the same key must never
-        interleave bytes into one temp file."""
-        return self._entry_path(key).parent / (
-            f"{key}.{os.getpid()}.{next(_TMP_SEQ)}.tmp"
-        )
-
     def _disk_write(self, key: str, value) -> None:
         if self.directory is None:
             return
@@ -598,34 +617,15 @@ class OutlineCache:
         except ServiceError:
             return  # an injected write fault skips the store
         path = self._entry_path(key)
-        tmp = self._tmp_path(key)
+        data = pickle.dumps({"version": _FORMAT_VERSION, "value": value})
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
-            with open(tmp, "wb") as fh:
-                pickle.dump({"version": _FORMAT_VERSION, "value": value}, fh)
-            os.replace(tmp, path)
+            publish_atomically(path, data)
         except OSError:
             # Disk full / permissions / directory torn down underneath
-            # us: the entry is simply not cached.  Drop the stage file
-            # so a failed write cannot strand a growing orphan.
-            with contextlib.suppress(OSError):
-                tmp.unlink(missing_ok=True)
+            # us: the entry is simply not cached.
             return
         self._evict(key)
-
-    def _sweep_orphan_tmps(self) -> None:
-        """Delete staging files abandoned by crashed writers.  Only
-        stale ones go — a live writer's in-flight temp file is seconds
-        old, an orphan is minutes old."""
-        if self.directory is None or not self.directory.exists():
-            return
-        cutoff = time.time() - _TMP_MAX_AGE_SECONDS
-        for path in self.directory.glob("??/*.tmp"):
-            try:
-                if path.stat().st_mtime < cutoff:
-                    path.unlink()
-            except OSError:
-                continue  # a concurrent sweeper (or the writer) got it
 
     def _evict(self, key: str = "") -> None:
         """Delete least-recently-used entries until the disk tier fits
@@ -636,7 +636,7 @@ class OutlineCache:
             faults.maybe_inject("cache.evict", key[:12])
         except ServiceError:
             return  # an injected evict fault skips this pass
-        self._sweep_orphan_tmps()
+        sweep_stale_stage_files(self.directory, "??/*.tmp")
         entries = []
         for p in self._entry_files():
             try:
@@ -739,18 +739,17 @@ def outline_payload_key(payload) -> tuple[str | None, str | None]:
     The group executor is generic (tests drive it with plain ints), so
     the shared-cache layer duck-checks the
     :data:`~repro.core.parallel.OutlinePayload` shape before keying:
-    a 7-tuple with integer thresholds, a string engine and a string
-    symbol prefix.  Anything else passes through uncached.
+    a 6-tuple with integer thresholds and a string symbol prefix.
+    Anything else passes through uncached.
     """
     if (
         isinstance(payload, tuple)
-        and len(payload) == 7
+        and len(payload) == 6
         and isinstance(payload[5], str)
-        and isinstance(payload[6], str)
         and all(isinstance(payload[i], int) for i in (2, 3, 4))
     ):
         try:
-            return OutlineCache.group_key(payload), payload[6]
+            return OutlineCache.group_key(payload), payload[5]
         except Exception:
             return None, None
     return None, None

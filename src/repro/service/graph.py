@@ -6,7 +6,7 @@ A Calibro build factors into a directed graph:
 
 Every node carries a **content key**: a SHA-256 over exactly the
 inputs that can change its output bytes (method bytecode, compile
-flags, outline thresholds, engine, format versions).  An incremental
+flags, outline thresholds, format versions).  An incremental
 rebuild walks the node list, re-executes only the nodes whose key
 moved, and **splices** everything else from the content-addressed
 :class:`~repro.service.cache.OutlineCache` — the same store the batch
@@ -79,6 +79,7 @@ from repro.dex.serialize import dexfile_to_json
 from repro.dex.verifier import VerificationError, verify_method
 from repro.hgraph.builder import build_hgraph
 from repro.hgraph.passes import PassManager
+from repro.service.cache import publish_atomically, sweep_stale_stage_files
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.pipeline import CalibroBuild, CalibroConfig
@@ -370,6 +371,7 @@ class BuildGraph:
                 self.state_dir.mkdir(parents=True, exist_ok=True)
             except OSError as exc:
                 raise ServiceError(f"unusable graph state directory: {exc}") from exc
+            sweep_stale_stage_files(self.state_dir, "*.tmp")
 
     # -- state persistence ---------------------------------------------------
 
@@ -419,10 +421,13 @@ class BuildGraph:
         if self.state_dir is None:
             self._memory_states[key] = state
             return
-        path = self._state_path(key)
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(state.to_dict(), sort_keys=True), encoding="utf-8")
-        os.replace(tmp, path)
+        # Two builds of one (label, config) slot may finish together —
+        # front-door threads or separate processes — so each stages
+        # under its own name before the atomic publish.
+        publish_atomically(
+            self._state_path(key),
+            json.dumps(state.to_dict(), sort_keys=True).encode("utf-8"),
+        )
 
     # -- the compile layer (method / dex nodes) ------------------------------
 

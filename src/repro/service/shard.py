@@ -4,14 +4,14 @@
 :class:`~repro.suffixtree.parallel.GroupExecutor`: the K PlOpti groups
 are placed on ``shards`` worker processes by
 :func:`~repro.suffixtree.parallel.round_robin_shards`, one submission
-per shard instead of one per group, and the shard runs its groups'
-suffix-tree / suffix-array work locally.  The executor supplies the
+per shard instead of one per group, and the shard mines its groups
+locally.  The executor supplies the
 rest — the fault ladder (per shard batch: ``timeout`` is per batch, the
 ``CALIBRO_FAULTS`` site ``shard:<s>`` names shard ``s`` and
 ``group:<i>`` names global group ``i``), trace propagation, the
 shared-cache hook and the ``service.pool.*`` metrics.
 
-Results are re-assembled by global group index, so the engine-invariant
+Results are re-assembled by global group index, so the
 ``(length, first)`` ordering contract downstream of
 ``outline_partitioned`` is untouched: **sharded builds are
 byte-identical to single-process builds** (held by

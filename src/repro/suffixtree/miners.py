@@ -1,9 +1,10 @@
-"""Pluggable repeat-mining engines behind the :class:`RepeatMiner` protocol.
+"""The repeat miner: a suffix array, its LCP array and the LCP intervals.
 
 LTBO's cost is dominated by building one index per candidate group and
-enumerating its maximal repeats (paper §3.3.3, §3.4.1).  This module
-makes the index a pluggable *engine*: every engine indexes an integer
-sequence once and then answers the same two questions —
+enumerating its maximal repeats (paper §3.3.3, §3.4.1).  The paper
+indexes each group with a suffix tree and reads the repeats off its
+internal nodes (§2.2).  :class:`SuffixArrayMiner` answers the same two
+questions from a suffix array instead:
 
 * ``repeats(min_length=, min_count=, max_length=)`` — every *branching*
   (right-maximal) repeated subsequence as a :class:`~repro.suffixtree.
@@ -11,32 +12,25 @@ sequence once and then answers the same two questions —
 * ``occurrences(repeat)`` — the sorted start positions of one of its
   own repeats.
 
-Two engines ship:
+The LCP intervals with ``lcp >= 1`` [Abouelhoda et al. 2004] are in
+exact bijection with the suffix tree's internal nodes — same lengths,
+counts and occurrence sets — so the miner reports exactly the repeats
+the paper's tree does.  The Ukkonen tree
+(:mod:`repro.suffixtree.ukkonen` with
+:func:`~repro.suffixtree.repeats.enumerate_repeats`) stays as the
+Figure 1 structure and as the reference the property suite checks this
+miner against, together with the exhaustive
+:func:`~repro.suffixtree.repeats.brute_force_repeats` oracle.
 
-* :class:`SuffixTreeMiner` — the existing Ukkonen suffix tree
-  (:mod:`repro.suffixtree.ukkonen`).  Branching repeats are the internal
-  nodes; occurrences are subtree leaf walks.
-* :class:`SuffixArrayMiner` — SA-IS induced-sorting suffix array
-  construction, Kasai LCP array, and bottom-up LCP-interval enumeration
-  [Abouelhoda et al. 2004].  The LCP intervals with ``lcp >= 1`` are in
-  exact bijection with the suffix tree's internal nodes (same lengths,
-  counts and occurrence sets), so the two engines are interchangeable —
-  the property suite cross-checks them against each other and against
-  the exhaustive oracle.
-
-Both report the same ``(length, count, first)`` triples, and a branching
-repeat is uniquely identified by ``(length, first)``, so every consumer
-that orders repeats by benefit with the ``first`` tie-break (see
-:func:`repro.core.outline.outline_group`) produces byte-identical output
-regardless of the engine.  The engine choice travels end-to-end:
-``CalibroConfig(engine=...)``, the ``--engine`` CLI flag, the outline
-cache key and the ``mine.*`` observability spans all speak the same
-names (:data:`ENGINES`).
+A branching repeat is uniquely identified by ``(length, first)``, so
+every consumer that orders repeats by benefit with the ``first``
+tie-break (see :func:`repro.core.outline.outline_group`) emits the same
+bytes it would from the tree.
 """
 
 from __future__ import annotations
 
-from typing import Protocol, Sequence, runtime_checkable
+from typing import Sequence
 
 try:  # numpy accelerates the suffix sort; everything works without it.
     import numpy as _np
@@ -44,110 +38,24 @@ except ImportError:  # pragma: no cover - exercised on numpy-less hosts
     _np = None
 
 from repro import observability as obs
-from repro.core.errors import ConfigError
-from repro.suffixtree.repeats import Repeat, enumerate_repeats
-from repro.suffixtree.ukkonen import SuffixTree
+from repro.suffixtree.repeats import Repeat
 
-__all__ = [
-    "DEFAULT_ENGINE",
-    "ENGINES",
-    "RepeatMiner",
-    "SuffixArrayMiner",
-    "SuffixTreeMiner",
-    "get_miner",
-]
-
-
-@runtime_checkable
-class RepeatMiner(Protocol):
-    """What ``core/outline.py`` (and every other repeat consumer) needs
-    from an index over one symbol sequence.
-
-    Implementations index the sequence at construction.  ``repeats``
-    returns every branching repeat passing the thresholds in ascending
-    ``(length, first)`` order — the ordering contract shared with
-    :func:`repro.suffixtree.repeats.brute_force_repeats` — and
-    ``occurrences`` resolves one of *this miner's own* repeats to its
-    sorted (possibly overlapping) start positions.
-    """
-
-    #: Engine name as registered in :data:`ENGINES`.
-    name: str
-    #: Input length, excluding any internal sentinel.
-    sequence_length: int
-    #: Size of the index, in nodes (tree nodes, or suffixes + LCP
-    #: intervals — the suffix-array analog).  Feeds ``OutlineStats``.
-    node_count: int
-
-    def repeats(
-        self,
-        *,
-        min_length: int = 2,
-        min_count: int = 2,
-        max_length: int | None = None,
-    ) -> list[Repeat]:
-        ...
-
-    def occurrences(self, repeat: Repeat) -> list[int]:
-        ...
-
-
-class SuffixTreeMiner:
-    """The Ukkonen-tree engine (the paper's own data structure)."""
-
-    name = "suffixtree"
-
-    def __init__(self, sequence: Sequence[int]):
-        with obs.span("mine.suffixtree"):
-            self._tree = SuffixTree(sequence)
-        self.sequence_length = self._tree.sequence_length
-
-    @property
-    def node_count(self) -> int:
-        return self._tree.node_count
-
-    @property
-    def tree(self) -> SuffixTree:
-        """The underlying tree (for callers needing structural queries)."""
-        return self._tree
-
-    def repeats(
-        self,
-        *,
-        min_length: int = 2,
-        min_count: int = 2,
-        max_length: int | None = None,
-    ) -> list[Repeat]:
-        with obs.span("mine.suffixtree"):
-            found = enumerate_repeats(
-                self._tree,
-                min_length=min_length,
-                min_count=min_count,
-                max_length=max_length,
-            )
-        if obs.current_tracer() is not None:
-            for repeat in found:
-                obs.histogram_observe("mine.repeat.length", repeat.length)
-        return found
-
-    def occurrences(self, repeat: Repeat) -> list[int]:
-        return self._tree.occurrences(repeat.node)
+__all__ = ["SuffixArrayMiner"]
 
 
 class SuffixArrayMiner:
-    """The suffix-array engine: SA-IS + Kasai + LCP intervals.
+    """The repeat index over one symbol sequence.
 
     The array-based pipeline does strictly sequential integer work over
     flat lists (no per-node dicts, no subtree walks), which is why it
-    beats the pure-Python Ukkonen tree by a wide margin on the same
-    inputs — ``benchmarks/bench_engine_mining.py`` holds it to >= 2x.
+    beats the pure-Python Ukkonen tree on the same inputs —
+    ``benchmarks/bench_engine_mining.py`` holds it to >= 2x.
     """
-
-    name = "suffixarray"
 
     def __init__(self, sequence: Sequence[int]):
         with obs.span("mine.suffixarray"):
             symbols = list(sequence)
+            #: Input length, excluding the internal sentinel.
             self.sequence_length = len(symbols)
             #: ``(length, lb, rb, first)`` per LCP interval with
             #: ``lcp >= 1``, i.e. per internal suffix-tree node:
@@ -156,6 +64,8 @@ class SuffixArrayMiner:
 
     @property
     def node_count(self) -> int:
+        """Index size: suffixes + LCP intervals (the suffix-tree analog
+        of leaves + internal nodes).  Feeds ``OutlineStats.tree_nodes``."""
         return len(self._sa) + len(self._intervals)
 
     def repeats(
@@ -184,34 +94,6 @@ class SuffixArrayMiner:
         return sorted(self._sa[lb : rb + 1])
 
 
-#: Engine registry: name → miner class.  The same names appear in
-#: ``CalibroConfig.engine``, the ``--engine`` CLI flag, the outline
-#: cache key and the ``mine.engine.*`` gauges.
-ENGINES: dict[str, type] = {
-    SuffixTreeMiner.name: SuffixTreeMiner,
-    SuffixArrayMiner.name: SuffixArrayMiner,
-}
-
-#: The paper's own data structure stays the default.
-DEFAULT_ENGINE = SuffixTreeMiner.name
-
-
-def get_miner(name: str) -> type:
-    """Resolve an engine name to its miner class.
-
-    Unknown names raise :class:`~repro.core.errors.ConfigError` (stable
-    exit code 2) — config validation and CLI dispatch both route through
-    here, so a typo fails fast instead of surfacing as a ``KeyError``
-    deep inside a worker process.
-    """
-    try:
-        return ENGINES[name]
-    except KeyError:
-        raise ConfigError(
-            f"unknown engine {name!r}; expected one of: {', '.join(sorted(ENGINES))}"
-        ) from None
-
-
 # -- suffix array construction --------------------------------------------------
 
 
@@ -223,7 +105,8 @@ def _build_index(symbols: list[int]) -> tuple[list[int], list[tuple[int, int, in
     doubling for the sort, rank-table lookups for the LCP array and
     ``minimum.reduceat`` for the interval minima, every O(n log n) pass
     in C — and to the pure-Python linear-time reference (SA-IS + Kasai +
-    min-carrying interval stack) otherwise.  Both paths produce the
+    min-carrying interval stack) otherwise: below 64 symbols the numpy
+    call overhead outweighs the C loops.  Both paths produce the
     identical index; the miner test suite cross-checks them.
     """
     if _np is not None and len(symbols) >= 64:
@@ -233,16 +116,6 @@ def _build_index(symbols: list[int]) -> tuple[list[int], list[tuple[int, int, in
     ranks.append(0)
     sa = _sais(ranks, len(order) + 1)
     return sa, _lcp_intervals(sa, _kasai(ranks, sa))
-
-
-def _suffix_array(s: list[int], k: int) -> list[int]:
-    """Suffix array of ``s`` (dense alphabet ``0..k-1``, unique smallest
-    sentinel ``0`` at the end): numpy prefix doubling when available,
-    pure-Python SA-IS otherwise."""
-    if _np is None or len(s) < 64:
-        return _sais(s, k)
-    sa, _levels = _doubling_numpy(_np.asarray(s, dtype=_np.int64))
-    return sa.tolist()
 
 
 def _doubling_numpy(s):

@@ -3,7 +3,8 @@
 Paper Section 3.4.1: candidate methods are partitioned into K groups
 evenly by method count (a *random* partition — clustering was rejected
 for its own overhead), one suffix tree is built per group, and the
-build/detect/outline/patch work runs per tree in parallel.
+build/detect/outline/patch work runs per tree in parallel (here the
+per-group index is the suffix-array miner).
 
 This module provides the group-parallel execution substrate: one
 supervised process pool, :class:`GroupExecutor`, whose dispatch unit is
@@ -314,7 +315,10 @@ class GroupExecutor:
 
     def _dispatch(self, worker, unit: int, chunk: list) -> Future:
         """Submit one unit.  Its own submit stamp feeds the wait
-        histogram from a done-callback, the moment the future settles."""
+        histogram from a done-callback, the moment the future settles —
+        into the tracer that dispatched it: the callback runs on the
+        executor's thread, where a build's thread-local tracer is not
+        current and a later build's may be."""
         self.stats.dispatches += 1
         obs.counter_add("service.pool.dispatches")
         tracer = obs.current_tracer()
@@ -334,9 +338,10 @@ class GroupExecutor:
         submitted = time.perf_counter()
 
         def _record(_future: Future) -> None:
-            obs.histogram_observe(
-                "service.pool.wait_seconds", time.perf_counter() - submitted
-            )
+            if tracer is not None:
+                tracer.histogram_observe(
+                    "service.pool.wait_seconds", time.perf_counter() - submitted
+                )
 
         future.add_done_callback(_record)
         return future

@@ -2,23 +2,24 @@
 
 Three pieces live here beyond raw index traversal:
 
-* :class:`Repeat` — the engine-neutral repeat record every miner yields
-  (see :mod:`repro.suffixtree.miners`);
+* :class:`Repeat` — the index-neutral repeat record that the miner
+  (:mod:`repro.suffixtree.miners`), the Ukkonen tree and the oracle
+  all yield;
 * :func:`select_nonoverlapping` — the "small modification ... to
   selectively skip" overlapping occurrences the paper mentions in
   Section 2.1.2 ("ana" overlaps itself in "banana"): occurrences claimed
   for outlining must not overlap, or the same bytes would be outlined
   twice;
 * :func:`brute_force_repeats` — an exhaustive reference oracle with the
-  same signature and ordering contract as the engines, so property
-  tests can compare all three drop-in.
+  same signature and ordering contract as the miner, so property tests
+  can compare the miner, the tree and the oracle drop-in.
 
 **Ordering contract.**  :func:`enumerate_repeats`,
-:func:`brute_force_repeats` and every ``RepeatMiner.repeats()`` return
+:func:`brute_force_repeats` and ``SuffixArrayMiner.repeats()`` return
 their repeats sorted ascending by ``(length, first)``.  A branching
 repeat is uniquely identified by that pair (the subsequence at
 ``[first, first + length)`` *is* the repeat), so the order — like the
-repeats themselves — is engine-independent.
+repeats themselves — does not depend on the index that found them.
 """
 
 from __future__ import annotations
@@ -39,11 +40,12 @@ class Repeat:
     non-overlap filtering happens later, when the outliner claims
     concrete positions.  ``first`` is the smallest occurrence start:
     together with ``length`` it identifies the repeat independently of
-    which engine found it, which is what makes benefit-ranked selection
-    (and therefore the final OAT bytes) engine-invariant.
+    which index found it, which is what makes benefit-ranked selection
+    (and therefore the final OAT bytes) the same from the suffix array
+    as from the paper's suffix tree.
 
-    ``node`` is an engine-private handle (suffix-tree node id, or LCP
-    interval index) used to resolve :meth:`positions`; ``-1`` marks
+    ``node`` is an index-private handle (LCP interval index, or
+    suffix-tree node id) used to resolve :meth:`positions`; ``-1`` marks
     repeats with no index behind them (the brute-force oracle).
     """
 
@@ -128,7 +130,7 @@ def brute_force_repeats(
 ) -> list[Repeat]:
     """All branching repeats by exhaustive search (the test oracle).
 
-    Same signature and semantics as ``RepeatMiner.repeats()``: a
+    Same signature and semantics as ``SuffixArrayMiner.repeats()``: a
     subsequence qualifies when it is at least ``min_length`` (and at
     most ``max_length``) long, occurs at least ``min_count`` times, and
     is *right-branching* — its occurrences are followed by at least two

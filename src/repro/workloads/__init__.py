@@ -8,7 +8,14 @@ from repro.workloads.diffstream import (
     diff_stream,
     mutate_app,
 )
-from repro.workloads.oracle import Mismatch, OracleResult, default_configs, verify_app
+from repro.workloads.oracle import (
+    Mismatch,
+    OracleResult,
+    check_oat,
+    default_configs,
+    reference_results,
+    verify_app,
+)
 from repro.workloads.apps import (
     APP_NAMES,
     PAPER_BASELINE_MB,
@@ -28,11 +35,13 @@ __all__ = [
     "PAPER_BASELINE_MB",
     "UiScript",
     "app_spec",
+    "check_oat",
     "default_suite",
     "diff_stream",
     "generate_app",
     "default_configs",
     "generate_suite",
     "mutate_app",
+    "reference_results",
     "verify_app",
 ]

@@ -7,7 +7,7 @@ were 357M / 225M / 264M / 247M / 612M / 388M.
 
 The generated apps keep the *relative* sizes of the paper's apps (method
 counts proportional to the reported OAT sizes) at a laptop-tractable
-absolute scale — repro band 2/5: pure-Python Ukkonen over real
+absolute scale — repro band 2/5: pure-Python mining over real
 multi-million-instruction OAT files is out of reach, and the measured
 ratios are scale-stable (a bench verifies this).  Per-app seeds make
 each app a distinct population of idiom variants, like six different

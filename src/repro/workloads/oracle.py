@@ -5,7 +5,11 @@ changes observable behaviour.  This module packages that claim as a
 reusable check (and the CLI's ``calibro verify``): run an app's UI
 script — and optionally a random sample of individual methods — through
 the reference interpreter and through the emulator on each built
-configuration, comparing results and trap kinds.
+configuration, comparing results and trap kinds.  The per-image half
+of that check — :func:`reference_results` once per app version, then
+:func:`check_oat` per built image — is public, so OAT images from any
+build path (the serve front door, incremental deltas) face the same
+comparison.
 """
 
 from __future__ import annotations
@@ -15,10 +19,22 @@ from dataclasses import dataclass, field
 
 from repro.core.pipeline import CalibroConfig, build_app
 from repro.dex.interp import DexError, Interpreter
+from repro.dex.method import DexFile
+from repro.oat.oatfile import OatFile
 from repro.runtime.emulator import Emulator
 from repro.workloads.appgen import GeneratedApp
 
-__all__ = ["Mismatch", "OracleResult", "default_configs", "verify_app"]
+__all__ = [
+    "Mismatch",
+    "OracleResult",
+    "check_oat",
+    "default_configs",
+    "reference_results",
+    "verify_app",
+]
+
+#: ``(method, args)`` calls the oracle makes.
+Probe = tuple[str, list[int]]
 
 
 @dataclass(frozen=True)
@@ -74,6 +90,43 @@ def _emulated(emulator: Emulator, method: str, args: list[int]) -> object:
     return result.value
 
 
+def reference_results(
+    dexfile: DexFile,
+    probes: list[Probe],
+    *,
+    native_handlers=None,
+    max_steps: int = 200_000_000,
+) -> list[object]:
+    """What the reference interpreter answers to each probe on
+    ``dexfile``: the return value, or ``("trap", kind)``."""
+    interp = Interpreter(dexfile, native_handlers=native_handlers, max_steps=max_steps)
+    return [_reference(interp, method, args) for method, args in probes]
+
+
+def check_oat(
+    oat: OatFile,
+    dexfile: DexFile,
+    probes: list[Probe],
+    expected: list[object],
+    *,
+    native_handlers=None,
+    config_name: str = "",
+) -> OracleResult:
+    """Run each probe on the emulator over ``oat`` (built from
+    ``dexfile``) and compare it with ``expected``
+    (:func:`reference_results` on the same dexfile)."""
+    emulator = Emulator(oat, dexfile, native_handlers=native_handlers)
+    outcome = OracleResult(config_name=config_name)
+    for (method, args), want in zip(probes, expected):
+        got = _emulated(emulator, method, args)
+        outcome.calls_checked += 1
+        if got != want:
+            outcome.mismatches.append(
+                Mismatch(method=method, args=tuple(args), expected=want, actual=got)
+            )
+    return outcome
+
+
 def verify_app(
     app: GeneratedApp,
     configs: list[CalibroConfig] | None = None,
@@ -90,11 +143,7 @@ def verify_app(
     mismatch is fatal.
     """
     configs = configs if configs is not None else default_configs()
-    interp = Interpreter(
-        app.dexfile, native_handlers=app.native_handlers, max_steps=max_steps
-    )
-
-    probes: list[tuple[str, list[int]]] = [
+    probes: list[Probe] = [
         (method, list(args)) for method, args in app.ui_script.iterate()
     ]
     rng = random.Random(seed)
@@ -104,21 +153,17 @@ def verify_app(
             (rng.choice(names), [rng.randint(-1000, 1000), rng.randint(-1000, 1000)])
         )
 
-    expected = [_reference(interp, method, args) for method, args in probes]
-
-    results = []
-    for config in configs:
-        build = build_app(app.dexfile, config)
-        emulator = Emulator(
-            build.oat, app.dexfile, native_handlers=app.native_handlers
+    expected = reference_results(
+        app.dexfile, probes, native_handlers=app.native_handlers, max_steps=max_steps
+    )
+    return [
+        check_oat(
+            build_app(app.dexfile, config).oat,
+            app.dexfile,
+            probes,
+            expected,
+            native_handlers=app.native_handlers,
+            config_name=config.name,
         )
-        outcome = OracleResult(config_name=config.name)
-        for (method, args), want in zip(probes, expected):
-            got = _emulated(emulator, method, args)
-            outcome.calls_checked += 1
-            if got != want:
-                outcome.mismatches.append(
-                    Mismatch(method=method, args=tuple(args), expected=want, actual=got)
-                )
-        results.append(outcome)
-    return results
+        for config in configs
+    ]

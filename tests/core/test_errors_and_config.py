@@ -69,12 +69,9 @@ class TestConfigValidation:
             CalibroConfig(parallel_groups=0)
 
     def test_unknown_engine_raises_at_construction(self):
-        with pytest.raises(ConfigError, match="unknown engine"):
-            CalibroConfig(engine="suffixautomaton")
-
-    def test_known_engines_pass(self):
-        assert CalibroConfig(engine="suffixtree").engine == "suffixtree"
-        assert CalibroConfig(engine="suffixarray").engine == "suffixarray"
+        # One repeat miner remains: the config has no engine field.
+        with pytest.raises(TypeError, match="engine"):
+            CalibroConfig(engine="suffixarray")
 
 
 class TestConfigRoundTrip:
@@ -106,19 +103,16 @@ class TestConfigRoundTrip:
     def test_missing_keys_take_defaults(self):
         config = CalibroConfig.from_dict({"cto_enabled": True})
         assert config.cto_enabled and config.parallel_groups == 1
-        assert config.engine == "suffixtree"
 
-    def test_engine_round_trips(self):
-        config = CalibroConfig.cto_ltbo_plopti(groups=2)
-        sa = CalibroConfig.from_dict({**config.to_dict(), "engine": "suffixarray"})
-        assert sa.engine == "suffixarray"
-        assert CalibroConfig.from_dict(sa.to_dict()) == sa
+    def test_dict_has_no_engine_or_size_passes_key(self):
+        data = CalibroConfig().to_dict()
+        assert "engine" not in data and "size_passes" not in data
 
     def test_unknown_engine_in_dict_is_a_config_error(self):
-        """The bugfix: a bad engine name in a --config file must surface
-        as ConfigError (exit code 2), not a deep KeyError."""
-        with pytest.raises(ConfigError, match="unknown engine 'bogus'"):
-            CalibroConfig.from_dict({"engine": "bogus"})
+        """A --config file that still names an engine must surface as
+        ConfigError (exit code 2): ``engine`` is an unknown key now."""
+        with pytest.raises(ConfigError, match="unknown config keys: engine"):
+            CalibroConfig.from_dict({"engine": "suffixarray"})
 
 
 class TestSummarySchema:

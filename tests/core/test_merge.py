@@ -3,9 +3,9 @@
 Unit tests drive :func:`repro.core.merge.merge_functions` over synthetic
 A64 functions where every decision is enumerable by hand; the
 whole-build tests then hold the `merging=True` pipeline to the same
-bar as every other configuration — byte-identical across engines,
-shard widths and the incremental graph, and semantically identical on
-the emulator.
+bar as every other configuration — byte-identical whichever index
+mines the groups, across shard widths and the incremental graph, and
+semantically identical on the emulator.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from repro.isa import decode, instructions as ins
 from repro.oat import link
 from repro.runtime.emulator import Emulator
 from repro.service.cache import OutlineCache
+from tests.properties.test_miner_equivalence import UkkonenMiner
 
 
 def _leaf(name: str, imm: int, *, filler: int = 6) -> CompiledMethod:
@@ -241,17 +242,22 @@ class TestWholeBuildIdentity:
         assert summary["merge_saved_bytes"] == build.merge.stats.saved_bytes
         assert "merge" in summary["timings"]
 
-    def test_byte_identity_across_engines_and_groups(self, small_app):
+    def test_byte_identity_across_engines_and_groups(self, small_app, monkeypatch):
+        """Merging over outlined code mined by the suffix array or by
+        the Ukkonen reference (patched in; ``jobs=1`` keeps the groups
+        in this process) yields the same image."""
         images = set()
-        for engine in ("suffixtree", "suffixarray"):
+        for reference in (False, True):
+            if reference:
+                monkeypatch.setattr("repro.core.outline.SuffixArrayMiner", UkkonenMiner)
             for groups in (1, 4):
                 config = CalibroConfig(
                     cto_enabled=True, ltbo_enabled=True, merging=True,
-                    parallel_groups=groups, engine=engine, name="merge-id",
+                    parallel_groups=groups, jobs=1, name="merge-id",
                 )
                 images.add(
                     (groups, build_app(small_app.dexfile, config).oat.to_bytes())
                 )
         # One image per group width (partitioning changes outlining),
-        # but never one per engine.
+        # but never one per index.
         assert len(images) == 2

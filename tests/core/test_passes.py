@@ -1,10 +1,10 @@
-"""The SizePass registry and the config's pass-pipeline surface."""
+"""The pass table and the config's derived pass list."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core import CalibroConfig, build_app
+from repro.core import CalibroConfig
 from repro.core.errors import ConfigError
 from repro.core.passes import (
     PASSES,
@@ -12,52 +12,22 @@ from repro.core.passes import (
     OutlinePass,
     PassContext,
     PassState,
-    SizePass,
-    get_pass,
-    pass_names,
-    register_pass,
 )
 
 
 class TestRegistry:
     def test_builtin_passes_satisfy_the_protocol(self):
-        for name in pass_names():
-            instance = get_pass(name)
-            assert isinstance(instance, SizePass)
+        # The shape ``_run_passes`` relies on: a name, a phase, run().
+        for name, cls in PASSES.items():
+            instance = cls()
             assert instance.name == name
             assert instance.phase
+            assert callable(instance.run)
 
     def test_registry_order_is_pipeline_order(self):
-        assert pass_names() == ("outline", "merge")
+        assert tuple(PASSES) == ("outline", "merge")
         assert PASSES["outline"] is OutlinePass
         assert PASSES["merge"] is MergePass
-
-    def test_unknown_pass_name_raises_config_error(self):
-        with pytest.raises(ConfigError, match="unknown size pass"):
-            get_pass("shrinkwrap")
-
-    def test_register_pass_extends_the_registry(self):
-        @register_pass
-        class NoopPass:
-            name = "noop-test-pass"
-            phase = "noop"
-
-            def run(self, state, config, context):
-                pass
-
-        try:
-            assert isinstance(get_pass("noop-test-pass"), SizePass)
-            config = CalibroConfig(size_passes=("noop-test-pass",))
-            assert config.passes == ("noop-test-pass",)
-        finally:
-            del PASSES["noop-test-pass"]
-
-    def test_register_pass_requires_a_name(self):
-        class Nameless:
-            phase = "x"
-
-        with pytest.raises(ConfigError, match="name"):
-            register_pass(Nameless)
 
 
 class TestConfigPassList:
@@ -73,27 +43,6 @@ class TestConfigPassList:
     def test_merging_alone_runs_only_the_merge_pass(self):
         assert CalibroConfig(merging=True).passes == ("merge",)
 
-    def test_size_passes_overrides_the_derived_list(self):
-        config = CalibroConfig(ltbo_enabled=True, size_passes=("merge",))
-        assert config.passes == ("merge",)
-
-    def test_size_passes_list_is_coerced_to_tuple(self):
-        config = CalibroConfig(size_passes=["outline"])
-        assert config.size_passes == ("outline",)
-        assert config.passes == ("outline",)
-
-    def test_unknown_size_pass_rejected_at_construction(self):
-        with pytest.raises(ConfigError, match="unknown size pass"):
-            CalibroConfig(size_passes=("outline", "shrinkwrap"))
-
-    def test_duplicate_size_pass_rejected(self):
-        with pytest.raises(ConfigError, match="repeat"):
-            CalibroConfig(size_passes=("outline", "outline"))
-
-    def test_size_passes_must_be_a_sequence(self):
-        with pytest.raises(ConfigError, match="sequence"):
-            CalibroConfig(size_passes="outline")
-
     def test_with_merging_sets_flag_and_extends_name(self):
         config = CalibroConfig.cto_ltbo_plopti(4).with_merging()
         assert config.merging is True
@@ -101,26 +50,18 @@ class TestConfigPassList:
 
     def test_config_round_trips_merging_fields(self):
         config = CalibroConfig(
-            cto_enabled=True, ltbo_enabled=True, merging=True,
-            size_passes=("outline",), name="round-trip",
+            cto_enabled=True, ltbo_enabled=True, merging=True, name="round-trip",
         )
         again = CalibroConfig.from_dict(config.to_dict())
         assert again.merging is True
-        assert again.size_passes == ("outline",)
-        assert again.passes == ("outline",)
+        assert again.passes == ("outline", "merge")
+        # The pass list is derived only: an explicit override is an
+        # unknown config key.
+        with pytest.raises(ConfigError, match="unknown config keys: size_passes"):
+            CalibroConfig.from_dict({**config.to_dict(), "size_passes": ["merge"]})
 
 
 class TestPipelineIntegration:
-    def test_explicit_pass_list_matches_derived_build(self, small_app):
-        derived = CalibroConfig.cto_ltbo_plopti(2).with_merging()
-        explicit = CalibroConfig(
-            cto_enabled=True, parallel_groups=2,
-            size_passes=("outline", "merge"), name=derived.name,
-        )
-        a = build_app(small_app.dexfile, derived)
-        b = build_app(small_app.dexfile, explicit)
-        assert a.oat.to_bytes() == b.oat.to_bytes()
-
     def test_pass_state_starts_empty(self):
         state = PassState(methods=[])
         assert state.aliases == {}

@@ -24,7 +24,7 @@ def _trace(durations: dict[str, float], counters: dict[str, int] | None = None):
 
 
 def _entry(after=8000, wall=1.0, before=10000):
-    return LedgerEntry(config="c", engine="e", text_size_before=before,
+    return LedgerEntry(config="c", text_size_before=before,
                        text_size_after=after, wall_seconds=wall)
 
 
@@ -147,11 +147,11 @@ def test_graph_deltas_are_gated_when_both_sides_carry_them():
     are untouched."""
     lean = _entry()
     lean_graph = LedgerEntry(
-        config="c", engine="e", text_size_before=10000, text_size_after=8000,
+        config="c", text_size_before=10000, text_size_after=8000,
         wall_seconds=1.0, graph={"nodes_rebuilt": 2, "seconds": 0.5},
     )
     fat_graph = LedgerEntry(
-        config="c", engine="e", text_size_before=10000, text_size_after=8000,
+        config="c", text_size_before=10000, text_size_after=8000,
         wall_seconds=1.0, graph={"nodes_rebuilt": 40, "seconds": 2.0},
     )
     report = diff_entries(lean_graph, fat_graph)
@@ -169,7 +169,7 @@ def test_cache_hit_rate_is_gated_when_both_sides_have_traffic():
     baseline with zero traffic gates nothing."""
     def traffic(hits, misses):
         return LedgerEntry(
-            config="c", engine="e", text_size_before=10000,
+            config="c", text_size_before=10000,
             text_size_after=8000, wall_seconds=1.0,
             cache_hits=hits, cache_misses=misses,
         )

@@ -69,7 +69,7 @@ def test_every_ledger_field_is_documented():
     """The ledger record schema is part of the documented surface."""
     from repro.observability import LedgerEntry
 
-    entry = LedgerEntry(config="c", engine="e", meta={"k": 1})
+    entry = LedgerEntry(config="c", meta={"k": 1})
     doc = DOC.read_text(encoding="utf-8")
     documented = set(re.findall(r"`([a-z0-9_.]+)`", doc))
     missing = sorted(set(entry.to_dict()) - documented)

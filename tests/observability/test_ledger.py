@@ -18,7 +18,6 @@ from repro.observability import (
 def _entry(config="CTO+LTBO", label="app", before=10000, after=8000, **kw):
     return LedgerEntry(
         config=config,
-        engine="suffixtree",
         label=label,
         text_size_before=before,
         text_size_after=after,
@@ -52,6 +51,14 @@ def test_missing_schema_version_reads_as_v1():
     data = _entry().to_dict()
     del data["schema_version"]
     assert LedgerEntry.from_dict(data).schema_version == 1
+
+
+def test_pre_v5_engine_field_is_ignored():
+    data = {**_entry().to_dict(), "schema_version": 4, "engine": "suffixtree"}
+    entry = LedgerEntry.from_dict(data)
+    assert entry.schema_version == 4
+    assert entry == LedgerEntry.from_dict({**data, "engine": "suffixarray"})
+    assert "engine" not in entry.to_dict()
 
 
 def test_newer_schema_version_is_refused():
@@ -182,7 +189,6 @@ def test_entry_from_build_distills_a_real_build(small_app):
     build = build_app(small_app.dexfile, CalibroConfig.cto_ltbo())
     entry = entry_from_build(build, label="taobao", timestamp=123.0)
     assert entry.config == build.config.name
-    assert entry.engine == build.config.engine
     assert entry.label == "taobao"
     assert entry.text_size_after == build.text_size
     bytes_saved = sum(s.bytes_saved for s in build.outline_stats)

@@ -86,7 +86,7 @@ def test_report_summary_extends_the_build_summary(small_app):
     from repro.core import SUMMARY_SCHEMA_VERSION
 
     assert summary["schema_version"] == SUMMARY_SCHEMA_VERSION
-    assert summary["engine"] == "suffixtree"
+    assert "engine" not in summary
     assert summary["label"] == "x"
     assert summary["compile_cached"] is False
     assert summary["total_groups"] == 1

@@ -21,15 +21,13 @@ def candidates(small_app):
     return select_candidates(list(result.methods)).candidates
 
 
-def _payload(candidates, prefix="MethodOutliner$g0", min_length=DEFAULT_MIN_LENGTH,
-             engine="suffixtree"):
+def _payload(candidates, prefix="MethodOutliner$g0", min_length=DEFAULT_MIN_LENGTH):
     return (
         candidates,
         frozenset(),
         min_length,
         DEFAULT_MAX_LENGTH,
         DEFAULT_MIN_SAVED,
-        engine,
         prefix,
     )
 
@@ -43,23 +41,10 @@ def test_group_key_is_stable_and_content_sensitive(candidates):
     assert key != OutlineCache.group_key(_payload(candidates, min_length=3))
     # ... the hot mask is key material ...
     hot = (candidates, frozenset({candidates[0][1].name}), DEFAULT_MIN_LENGTH,
-           DEFAULT_MAX_LENGTH, DEFAULT_MIN_SAVED, "suffixtree", "MethodOutliner$g0")
+           DEFAULT_MAX_LENGTH, DEFAULT_MIN_SAVED, "MethodOutliner$g0")
     assert key != OutlineCache.group_key(hot)
-    # ... the engine is key material ...
-    assert key != OutlineCache.group_key(_payload(candidates, engine="suffixarray"))
     # ... the symbol prefix is deliberately not.
     assert key == OutlineCache.group_key(_payload(candidates, prefix="Other$g7"))
-
-
-def test_no_hit_across_engines(candidates):
-    """Results computed under one engine must never serve another: each
-    backend's cached bytes stay attributable to the engine that made
-    them, even though the engines are output-identical."""
-    cache = OutlineCache()
-    tree_payload = _payload(candidates, engine="suffixtree")
-    cache.store_group(tree_payload, _worker(tree_payload))
-    assert cache.lookup_group(tree_payload) is not None
-    assert cache.lookup_group(_payload(candidates, engine="suffixarray")) is None
 
 
 def test_fingerprint_is_order_sensitive(candidates):
@@ -197,8 +182,8 @@ def test_lookup_chunk_matches_lookup_group(candidates):
     cache = OutlineCache()
     payload = _payload(candidates)
     key = OutlineCache.group_key(payload)
-    cache.store_chunk(key, payload[6], _worker(payload))
-    via_key = cache.lookup_chunk(key, payload[6])
+    cache.store_chunk(key, payload[5], _worker(payload))
+    via_key = cache.lookup_chunk(key, payload[5])
     via_payload = cache.lookup_group(payload)
     assert via_key is not None and via_payload is not None
     assert [m.name for m in via_key.outlined] == [

@@ -23,6 +23,7 @@ import pytest
 
 from repro import observability as obs
 from repro.service import OutlineCache
+from repro.service.cache import stage_path
 from repro.service.faults import FaultPlan, armed
 
 #: Uniform disk budget for the stress scenarios — small enough that the
@@ -148,9 +149,9 @@ def test_staging_names_are_unique_per_writer(tmp_path):
     """Two writers (or two threads of one process) publishing the same
     key must never interleave bytes into one temp file: staging names
     carry the pid and a process-local sequence number."""
-    cache = OutlineCache(tmp_path)
-    first = cache._tmp_path(_key(0))
-    second = cache._tmp_path(_key(0))
+    entry = OutlineCache(tmp_path)._entry_path(_key(0))
+    first = stage_path(entry)
+    second = stage_path(entry)
     assert first != second
     assert f".{os.getpid()}." in first.name
     assert first.name.endswith(".tmp")

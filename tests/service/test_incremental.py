@@ -4,16 +4,22 @@ rebuild model.
 The hard guarantee under test: ``BuildService(ServiceConfig(incremental=True))``
 produces an OAT image **bit-identical** to a from-scratch
 ``build_app`` after *any* sequence of method edits, additions and
-deletions — across the four paper configs, both mining engines, and
-shard widths 1 and 4.  The delta accounting (``GraphDelta``) must
-match the documented invalidation rules, corrupt state/cache files
-must fall back to rebuilding (never mis-build), and a graph state
-from a newer schema must refuse loudly.
+deletions — across the five configs and shard widths 1 and 4.  The
+delta accounting (``GraphDelta``) must match the documented
+invalidation rules, corrupt state/cache files must fall back to
+rebuilding (never mis-build), concurrent builds of one app must not
+trip over each other's state writes, and a graph state from a newer
+schema must refuse loudly.
 """
 
 from __future__ import annotations
 
+import errno
 import json
+import os
+import sys
+import threading
+import time
 
 import pytest
 
@@ -21,8 +27,10 @@ from repro.core import CalibroConfig, build_app
 from repro.core.errors import CalibroError, ServiceError
 from repro.dex.method import DexMethod
 from repro.service import BuildService, FaultPlan, ServiceConfig, armed
+from repro.service.cache import OutlineCache
 from repro.service.graph import (
     GRAPH_SCHEMA_VERSION,
+    BuildGraph,
     GraphState,
     method_node_key,
 )
@@ -61,14 +69,9 @@ def test_mutation_stream_byte_identity_all_configs(tmp_path, small_app, config_n
         _assert_stream_identity(small_app.dexfile, config, svc)
 
 
-@pytest.mark.parametrize("engine", ["suffixtree", "suffixarray"])
 @pytest.mark.parametrize("shards", [1, 4])
-def test_mutation_stream_byte_identity_engines_and_shards(
-    tmp_path, small_app, engine, shards
-):
-    from dataclasses import replace as dc_replace
-
-    config = dc_replace(CalibroConfig.cto_ltbo_plopti(groups=4), engine=engine)
+def test_mutation_stream_byte_identity_shards(tmp_path, small_app, shards):
+    config = CalibroConfig.cto_ltbo_plopti(groups=4)
     with BuildService(ServiceConfig(cache_dir=tmp_path, incremental=True, shards=shards)) as svc:
         _assert_stream_identity(small_app.dexfile, config, svc, steps=3)
 
@@ -187,6 +190,88 @@ def test_memory_only_incremental_service_works(small_app):
 
 def _state_files(cache_dir):
     return sorted((cache_dir / "graph").glob("*.json"))
+
+
+def test_concurrent_state_saves_of_one_slot_never_fail(tmp_path):
+    """Builds of one (label, config) slot that finish together — the
+    async front door runs several at once — each stage their own state
+    file: no writer loses its publish, the survivor parses, and no
+    stage file is left behind."""
+    graph = BuildGraph(OutlineCache(), tmp_path / "graph")
+    config = CalibroConfig.cto_ltbo()
+    writers, rounds = 4, 200
+    barrier = threading.Barrier(writers)
+    errors: list[OSError] = []
+
+    def write(writer: int) -> None:
+        barrier.wait()
+        for round_index in range(rounds):
+            state = GraphState(config_key=f"{writer}-{round_index}", groups=["g"])
+            try:
+                graph.save_state("app", config, state)
+            except OSError as exc:
+                errors.append(exc)
+
+    threads = [threading.Thread(target=write, args=(n,)) for n in range(writers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    (path,) = _state_files(tmp_path)
+    state = GraphState.from_dict(json.loads(path.read_text(encoding="utf-8")))
+    assert state.groups == ["g"]
+    assert not list((tmp_path / "graph").glob("*.tmp"))
+
+
+def test_failed_state_save_drops_its_stage_file_and_keeps_its_error(
+    tmp_path, monkeypatch
+):
+    graph = BuildGraph(OutlineCache(), tmp_path / "graph")
+    config = CalibroConfig.cto_ltbo()
+    state = GraphState(config_key="k", groups=["g"])
+
+    def _disk_full(src, dst):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(os, "replace", _disk_full)
+    with pytest.raises(OSError) as raised:
+        graph.save_state("app", config, state)
+    assert raised.value.errno == errno.ENOSPC
+    assert not list((tmp_path / "graph").glob("*.tmp"))
+
+    def _cannot_unlink(target, *args, **kwargs):
+        raise PermissionError(errno.EACCES, "Permission denied", str(target))
+
+    # A cleanup that fails in turn must not mask the publish error.
+    monkeypatch.setattr(os, "unlink", _cannot_unlink)
+    with pytest.raises(OSError) as raised:
+        graph.save_state("app", config, state)
+    assert raised.value.errno == errno.ENOSPC
+
+
+def test_opening_the_graph_sweeps_stale_stage_files_only(tmp_path):
+    """A writer that crashed between staging and publishing leaves its
+    stage file behind; the next graph over that directory removes it
+    once it is stale, and leaves a live writer's young one alone."""
+    state_dir = tmp_path / "graph"
+    state_dir.mkdir()
+    orphan = state_dir / "deadbeef.12345.0.tmp"
+    orphan.write_text("{", encoding="utf-8")
+    stale = time.time() - 3600
+    os.utime(orphan, (stale, stale))
+    live = state_dir / "deadbeef.12345.1.tmp"
+    live.write_text("{", encoding="utf-8")
+
+    BuildGraph(OutlineCache(), state_dir)
+    assert not orphan.exists()
+    assert live.exists()
 
 
 def test_newer_graph_state_schema_raises_calibro_error(tmp_path, small_app):

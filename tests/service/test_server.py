@@ -27,6 +27,7 @@ import pytest
 from repro import observability as obs
 from repro.core.errors import ConfigError, ServiceError
 from repro.core.pipeline import CalibroConfig
+from repro.oat.oatfile import OatFile
 from repro.service import (
     AsyncBuildServer,
     BuildRequest,
@@ -39,7 +40,13 @@ from repro.service import (
 from repro.service.faults import FaultPlan, armed
 from repro.service.protocol import PROTOCOL_VERSION, BuildFailed
 from repro.service.server import _Job
-from repro.workloads import app_spec, generate_app
+from repro.workloads import (
+    app_spec,
+    check_oat,
+    diff_stream,
+    generate_app,
+    reference_results,
+)
 
 CONFIG = CalibroConfig.cto_ltbo_plopti(groups=4)
 
@@ -380,3 +387,50 @@ def test_idle_flush_keeps_exposition_fresh(tmp_path):
     text = metrics.read_text()
     assert "calibro_build_info" in text
     assert "calibro_service_server_flushes" in text
+
+
+# -- the differential oracle through the served incremental path --------------
+
+
+def _loop_methods(dexfile) -> frozenset[str]:
+    """Methods with a backward branch.  Edits leave them alone: a nudged
+    loop constant can multiply the trip count of the UI script."""
+    return frozenset(
+        method.name
+        for method in dexfile.all_methods()
+        if any(t <= i for i, instr in enumerate(method.code) for t in instr.branch_targets())
+    )
+
+
+def test_served_incremental_builds_match_the_interpreter(tmp_path):
+    """A diff stream (edits and one addition) submitted through the
+    client to an incremental, 2-shard, merging server: every returned
+    OAT runs the app's UI script on the emulator exactly as the
+    interpreter runs that version of the dex."""
+    app = generate_app(app_spec("Taobao", scale=0.2))
+    config = CalibroConfig.cto_ltbo_plopti(4).with_merging()
+    protected = frozenset(app.entry_points) | _loop_methods(app.dexfile)
+    versions = [app.dexfile] + [
+        dex
+        for dex, _mutation in diff_stream(
+            app.dexfile, steps=4, seed=5, kinds=("edit", "add", "edit", "edit"),
+            protected=protected,
+        )
+    ]
+    probes = [(method, list(args)) for method, args in app.ui_script.iterate()]
+    service = BuildService(ServiceConfig(cache_dir=tmp_path, incremental=True, shards=2))
+    with _front_door(service) as (server, sock):
+        client = CalibroClient(sock, timeout=60.0)
+        results = [client.build(dex, config, label="app") for dex in versions]
+    service.close()
+    for index, (dex, result) in enumerate(zip(versions, results)):
+        expected = reference_results(dex, probes, native_handlers=app.native_handlers)
+        outcome = check_oat(
+            OatFile.from_bytes(result.oat_bytes), dex, probes, expected,
+            native_handlers=app.native_handlers, config_name=f"v{index}",
+        )
+        assert outcome.ok, (index, outcome.mismatches[:3])
+        assert outcome.calls_checked == len(probes) > 0
+    # The versions after the first were served as deltas.
+    for result in results[1:]:
+        assert result.summary["graph"]["nodes_reused"] > 0

@@ -3,8 +3,8 @@
 The tentpole invariant is byte identity: builds whose shard/pool
 children read and write the shared disk cache must produce exactly the
 OAT image a cache-blind (and a cache-less) build produces — across the
-paper configurations, both mining engines, shard widths, and on both
-cold and warm caches.  On top of that the suite pins the sharing
+paper configurations, shard widths, and on both cold and warm
+caches.  On top of that the suite pins the sharing
 itself: a group mined by one executor's children is a disk hit for a
 *different* executor (different shard width, different symbol prefixes —
 the cross-shard/cross-tenant reuse).
@@ -12,7 +12,6 @@ the cross-shard/cross-tenant reuse).
 
 from __future__ import annotations
 
-import dataclasses
 import pickle
 
 import pytest
@@ -58,7 +57,6 @@ def _payload(candidates, prefix="MethodOutliner$g0", min_length=DEFAULT_MIN_LENG
         min_length,
         DEFAULT_MAX_LENGTH,
         DEFAULT_MIN_SAVED,
-        "suffixtree",
         prefix,
     )
 
@@ -149,6 +147,9 @@ def test_outline_payload_key_duck_checks_shape(candidates):
     # map_groups is generic: non-outline payloads pass through unkeyed.
     assert outline_payload_key(7) == (None, None)
     assert outline_payload_key((1, 2, 3)) == (None, None)
+    # So does the pre-v4 7-tuple that still carried an engine name.
+    payload = _payload(candidates)
+    assert outline_payload_key(payload[:5] + ("suffixtree",) + payload[5:]) == (None, None)
 
 
 def test_shared_cache_worker_read_through_write_back(tmp_path, candidates):
@@ -243,24 +244,22 @@ def _configs(dexfile):
     ]
 
 
-@pytest.mark.parametrize("engine", ["suffixtree", "suffixarray"])
-def test_shared_builds_byte_identical_across_matrix(tmp_path, dexfile, engine):
+def test_shared_builds_byte_identical_across_matrix(tmp_path, dexfile):
     """Every paper config × shard width {1, 4} × shared on/off, cold and
     warm, against the plain ``build_app`` reference — one wrong byte
     anywhere in the sharing layer fails here."""
-    for index, base in enumerate(_configs(dexfile)):
-        config = dataclasses.replace(base, engine=engine)
+    for index, config in enumerate(_configs(dexfile)):
         reference = build_app(dexfile, config).oat.to_bytes()
         for shards in (1, 4):
             for shared in (True, False):
-                cache_dir = tmp_path / f"{engine}-{index}-{shards}-{shared}"
+                cache_dir = tmp_path / f"{index}-{shards}-{shared}"
                 service_config = ServiceConfig(
                     cache_dir=cache_dir, shards=shards, shared_cache=shared
                 )
                 with BuildService(service_config) as service:
                     cold = service.submit(dexfile, config).build.oat.to_bytes()
                     warm = service.submit(dexfile, config).build.oat.to_bytes()
-                label = f"{config.name}/{engine}/shards={shards}/shared={shared}"
+                label = f"{config.name}/shards={shards}/shared={shared}"
                 assert cold == reference, f"cold mismatch: {label}"
                 assert warm == reference, f"warm mismatch: {label}"
 

@@ -1,9 +1,9 @@
-"""The RepeatMiner protocol and its two engines.
+"""The suffix-array repeat miner.
 
-Engine equivalence at build scale lives in
+Equivalence with the Ukkonen reference at build scale lives in
 ``tests/properties/test_miner_equivalence.py``; this file covers the
-protocol surface, the SA-IS construction itself, the canonical ordering
-contract, and the deprecation shim.
+SA-IS construction itself, the canonical ordering contract, and the
+package surface.
 """
 
 from __future__ import annotations
@@ -12,42 +12,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.errors import ConfigError
-from repro.suffixtree import (
-    DEFAULT_ENGINE,
-    ENGINES,
-    RepeatMiner,
-    SuffixArrayMiner,
-    SuffixTreeMiner,
-    get_miner,
-)
+from repro.suffixtree import SuffixArrayMiner
 from repro.suffixtree.miners import _kasai, _lcp_intervals, _sais
+from repro.suffixtree.repeats import enumerate_repeats
+from repro.suffixtree.ukkonen import SuffixTree
 
 _SEQ = st.lists(st.integers(0, 5), min_size=1, max_size=40)
 
 
-class TestRegistry:
-    def test_both_engines_registered(self):
-        assert set(ENGINES) == {"suffixtree", "suffixarray"}
-        assert DEFAULT_ENGINE == "suffixtree"
-
-    def test_get_miner_resolves(self):
-        assert get_miner("suffixtree") is SuffixTreeMiner
-        assert get_miner("suffixarray") is SuffixArrayMiner
-
-    def test_get_miner_unknown_is_a_config_error(self):
-        with pytest.raises(ConfigError, match="unknown engine 'fmindex'"):
-            get_miner("fmindex")
-
-    def test_instances_satisfy_the_protocol(self):
+class TestMiner:
+    def test_sizes_match_the_suffix_tree(self):
+        # Suffixes + LCP intervals are the tree's leaves + internal
+        # nodes (the root is the lcp-0 interval, which is not counted).
         seq = [1, 2, 1, 2, 3]
-        for cls in ENGINES.values():
-            miner = cls(seq)
-            assert isinstance(miner, RepeatMiner)
-            assert miner.name == {SuffixTreeMiner: "suffixtree",
-                                  SuffixArrayMiner: "suffixarray"}[cls]
-            assert miner.sequence_length == len(seq)
-            assert miner.node_count > 0
+        miner = SuffixArrayMiner(seq)
+        assert miner.sequence_length == len(seq)
+        assert miner.node_count == SuffixTree(seq).node_count - 1
 
 
 class TestSuffixArrayConstruction:
@@ -105,8 +85,11 @@ class TestOrderingContract:
     @given(seq=_SEQ)
     @settings(max_examples=100)
     def test_both_engines_sort_ascending_length_first(self, seq):
-        for cls in ENGINES.values():
-            reps = cls(seq).repeats(min_length=1, min_count=2)
+        # The miner and the Ukkonen reference share the contract.
+        for reps in (
+            SuffixArrayMiner(seq).repeats(min_length=1, min_count=2),
+            enumerate_repeats(SuffixTree(seq), min_length=1, min_count=2),
+        ):
             keys = [(r.length, r.first) for r in reps]
             assert keys == sorted(keys)
             assert len(set(keys)) == len(keys)  # (length, first) is unique
@@ -114,15 +97,14 @@ class TestOrderingContract:
     @given(seq=_SEQ)
     @settings(max_examples=100)
     def test_occurrences_sorted_and_real(self, seq):
-        for cls in ENGINES.values():
-            miner = cls(seq)
-            for rep in miner.repeats(min_length=1, min_count=2):
-                pos = miner.occurrences(rep)
-                assert pos == sorted(pos) and len(pos) == rep.count
-                assert pos[0] == rep.first
-                want = seq[rep.first : rep.first + rep.length]
-                for p in pos:
-                    assert seq[p : p + rep.length] == want
+        miner = SuffixArrayMiner(seq)
+        for rep in miner.repeats(min_length=1, min_count=2):
+            pos = miner.occurrences(rep)
+            assert pos == sorted(pos) and len(pos) == rep.count
+            assert pos[0] == rep.first
+            want = seq[rep.first : rep.first + rep.length]
+            for p in pos:
+                assert seq[p : p + rep.length] == want
 
 
 class TestDeprecationShim:

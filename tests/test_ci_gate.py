@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import importlib.util
 import io
+import json
 from pathlib import Path
 
 import pytest
@@ -32,11 +33,9 @@ def gate():
     return module
 
 
-def _entry(config="CTO+LTBO", engine="suffix-tree", label="app",
-           text_after=1000, wall=1.0):
+def _entry(config="CTO+LTBO", label="app", text_after=1000, wall=1.0):
     return LedgerEntry(
         config=config,
-        engine=engine,
         label=label,
         text_size_before=1200,
         text_size_after=text_after,
@@ -52,9 +51,25 @@ def _write(path, entries):
     return str(path)
 
 
-def test_key_is_config_engine_label(gate):
-    entry = _entry(config="CTO", engine="suffix-array", label="wechat")
-    assert gate.entry_key(entry) == ("CTO", "suffix-array", "wechat")
+def test_key_is_config_label(gate):
+    entry = _entry(config="CTO", label="wechat")
+    assert gate.entry_key(entry) == ("CTO", "wechat")
+
+
+def test_v4_baseline_gates_fresh_v5_records(gate, tmp_path, capsys):
+    """A known-good ledger written before schema v5 carries a mining
+    ``engine`` per record; it still gates fresh records of the same
+    ``(config, label)``."""
+    baseline = tmp_path / "good-v4.jsonl"
+    record = {**_entry(text_after=1000).to_dict(), "schema_version": 4,
+              "engine": "suffixtree"}
+    baseline.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    equal = _write(tmp_path / "equal.jsonl", [_entry(text_after=1000)])
+    assert gate.main([equal, "--baseline", str(baseline)]) == 0
+    assert "CTO+LTBO/app: ok" in capsys.readouterr().out
+    grown = _write(tmp_path / "grown.jsonl", [_entry(text_after=1100)])
+    assert gate.main([grown, "--baseline", str(baseline)]) == 1
+    assert "CTO+LTBO/app: REGRESSED" in capsys.readouterr().out
 
 
 def test_clean_ledger_passes(gate, tmp_path, capsys):
@@ -95,8 +110,8 @@ def test_keys_are_gated_independently(gate, tmp_path, capsys):
     )
     assert gate.main([path]) == 1
     out = capsys.readouterr().out
-    assert "CTO+LTBO/suffix-tree/a: ok" in out
-    assert "CTO+LTBO/suffix-tree/b: REGRESSED" in out
+    assert "CTO+LTBO/a: ok" in out
+    assert "CTO+LTBO/b: REGRESSED" in out
 
 
 def test_new_keys_never_fail(gate, tmp_path, capsys):
@@ -155,7 +170,7 @@ def test_warm_build_going_cold_fails_the_gate(gate, tmp_path, capsys):
     gate reds before wall time would move on a small app."""
     def traffic(hits, misses):
         return LedgerEntry(
-            config="CTO+LTBO", engine="suffix-tree", label="app",
+            config="CTO+LTBO", label="app",
             text_size_before=1200, text_size_after=1000, wall_seconds=1.0,
             cache_hits=hits, cache_misses=misses, timestamp=1.0,
         )

@@ -121,27 +121,20 @@ def test_profile_and_hot_build(workdir, oat_path, dex_json):
     assert hot_oat.text_size >= plain_oat.text_size  # protection costs size
 
 
-def test_build_engine_flag_reports_in_summary(workdir, dex_json, capsys):
-    tree_oat = workdir / "eng_tree.oat"
-    array_oat = workdir / "eng_array.oat"
-    rc = main([
-        "build", str(dex_json), "-o", str(array_oat), "--groups", "2",
-        "--engine", "suffixarray", "--json",
-    ])
+def test_build_has_no_engine_flag_or_summary_key(workdir, dex_json, capsys):
+    oat = workdir / "eng.oat"
+    with pytest.raises(SystemExit) as exc:
+        main(["build", str(dex_json), "-o", str(oat), "--engine", "suffixarray"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+    rc = main(["build", str(dex_json), "-o", str(oat), "--groups", "2", "--json"])
     assert rc == 0
     summary = json.loads(capsys.readouterr().out)
     from repro.core import SUMMARY_SCHEMA_VERSION
 
-    assert summary["schema_version"] == SUMMARY_SCHEMA_VERSION
-    assert summary["engine"] == "suffixarray"
-
-    rc = main([
-        "build", str(dex_json), "-o", str(tree_oat), "--groups", "2", "--json",
-    ])
-    assert rc == 0
-    assert json.loads(capsys.readouterr().out)["engine"] == "suffixtree"
-    # The redesign's contract: the engine never changes the bytes.
-    assert tree_oat.read_bytes() == array_oat.read_bytes()
+    assert summary["schema_version"] == SUMMARY_SCHEMA_VERSION == 4
+    assert "engine" not in summary
 
 
 def test_analyze_prints_estimate(package, capsys):

@@ -104,6 +104,26 @@ def test_history_prints_the_trajectory(tmp_path, dex_json, capsys):
     assert "no matching entries" in capsys.readouterr().out
 
 
+def test_history_renders_a_mixed_v4_v5_ledger(tmp_path, capsys):
+    """Records from before schema v5 carry a mining ``engine``; history
+    reads them alongside v5 records and shows no engine column."""
+    ledger = tmp_path / "mixed.jsonl"
+    base = {"config": "CTO+LTBO", "label": "app", "text_size_before": 1200,
+            "wall_seconds": 1.0, "timestamp": 1.0}
+    lines = [
+        {**base, "schema_version": 4, "engine": "suffixtree", "text_size_after": 1000},
+        {**base, "schema_version": 5, "text_size_after": 990},
+    ]
+    ledger.write_text("".join(json.dumps(line) + "\n" for line in lines))
+
+    assert main(["history", str(ledger)]) == 0
+    out = capsys.readouterr().out
+    header = [cell.strip() for cell in out.splitlines()[0].split("|")]
+    assert header == ["config", "label", "builds", "text", "reduction", "drift", "wall"]
+    row = [cell.strip() for cell in out.splitlines()[2].split("|")]
+    assert row[:4] == ["CTO+LTBO", "app", "2", "990"]  # one trajectory
+
+
 def test_serve_writes_metrics_and_ledger(tmp_path, dex_json, capsys):
     metrics = tmp_path / "metrics.prom"
     ledger = tmp_path / "serve.jsonl"
