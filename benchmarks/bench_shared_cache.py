@@ -1,14 +1,16 @@
-"""Shared disk cache vs cache-blind shard children on a Zipf-reuse workload.
+"""One cache directory shared across services on a Zipf-reuse workload.
 
-Without a shared cache, a shard child sees nothing but its own chunk:
-a group mined by shard 2 of tenant A is recomputed by shard 0 of tenant
-B, and by *every* shard of the next request.  The shared disk cache
-(``ServiceConfig(shared_cache=...)``) is exactly that missing
-visibility.  This benchmark drains the same Zipf-ranked request stream
-twice through fresh per-request shard executors — once cache-blind,
-once with a :class:`SharedCacheSpec` on one directory — and asserts the
-warm **cross-shard hit rate is strictly above zero**, with
-byte-identical group results.
+Every request here is its own tenant: a fresh
+``BuildService(ServiceConfig(shards=4))`` per request, as a build farm
+that starts a service per job would run it.  Without a ``cache_dir``
+each fresh service starts cold and mines every group again; with every
+service on one ``cache_dir`` the supervisor's lookup before dispatch
+finds the groups (and the dex2oat result) that an earlier service
+stored.  This benchmark drains the same Zipf-ranked request stream
+through both arms, reports the warm hit rate ``Σ cached_groups /
+Σ total_groups`` and the seconds of each, and asserts a hit rate
+**strictly above zero** on the shared directory, with every output
+byte-identical to ``build_app``.
 
 Every run also appends one cold and one warm ``BuildService`` build to
 ``benchmarks/_artifacts/shared_cache_ledger.jsonl`` (labels
@@ -28,13 +30,9 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.compiler.driver import dex2oat
 from repro.core import CalibroConfig, build_app
-from repro.core.candidates import select_candidates
-from repro.core.parallel import _worker
 from repro.reporting import format_table
-from repro.service import BuildService, ServiceConfig, ShardExecutor, SharedCacheSpec
-from repro.suffixtree.parallel import partition_evenly
+from repro.service import BuildService, ServiceConfig
 from repro.workloads import app_spec, generate_app
 
 from _bench_util import BENCH_SCALE, PLOPTI_GROUPS, emit, _ARTIFACTS
@@ -61,69 +59,50 @@ def _zipf_workload(rng: random.Random, n: int) -> list[str]:
     return rng.choices(_APPS, weights=weights, k=n)
 
 
-def _payloads_for(dexfile) -> list:
-    """One request's group payloads, exactly as ``outline_partitioned``
-    would cut them (CTO on, default thresholds, K partitions)."""
-    candidates = select_candidates(
-        list(dex2oat(dexfile, cto=True).methods)
-    ).candidates
-    partitions = partition_evenly(candidates, PLOPTI_GROUPS, seed=0)
-    return [
-        (part, frozenset(), 5, 32, 1, f"MethodOutliner$g{gi}")
-        for gi, part in enumerate(partitions)
-    ]
+def _drain(workload, dexfiles, config, cache_dir):
+    """Build every request in its own fresh service; returns the OAT
+    bytes per request, the warm hit rate and the wall seconds."""
+    outputs: list[bytes] = []
+    cached = total = 0
+    t0 = time.perf_counter()
+    for name in workload:
+        with BuildService(
+            ServiceConfig(cache_dir=cache_dir, shards=_SHARDS)
+        ) as service:
+            report = service.submit(dexfiles[name], config, label=name)
+        outputs.append(report.build.oat.to_bytes())
+        cached += report.cached_groups
+        total += report.total_groups
+    seconds = time.perf_counter() - t0
+    return outputs, (cached / total if total else 0.0), seconds
 
 
-def _signature(result):
-    return (
-        [(m.name, m.code) for m in result.outlined],
-        {i: m.code for i, m in result.rewritten.items()},
-    )
-
-
-def test_shared_cache_beats_cache_blind_shards(benchmark):
+def test_shared_cache_dir_reuses_groups_across_services(benchmark):
     def measure():
         dexfiles = {
             name: generate_app(app_spec(name, _SCALE)).dexfile for name in _APPS
         }
-        request_payloads = {name: _payloads_for(dexfiles[name]) for name in _APPS}
+        config = CalibroConfig.cto_ltbo_plopti(groups=PLOPTI_GROUPS)
+        references = {
+            name: build_app(dexfiles[name], config).oat.to_bytes() for name in _APPS
+        }
         workload = _zipf_workload(random.Random(2024), _REQUESTS)
+        expected = [references[name] for name in workload]
         _ARTIFACTS.mkdir(exist_ok=True)
 
-        # Cache-blind baseline: a fresh executor per request (every
-        # request is its own tenant/build), every group recomputed.
-        baseline_results: list[list] = []
-        t0 = time.perf_counter()
-        for name in workload:
-            with ShardExecutor(shards=_SHARDS) as executor:
-                baseline_results.append(
-                    executor.map_groups(_worker, request_payloads[name])
-                )
-        blind_s = time.perf_counter() - t0
-
-        # Shared: same stream, fresh per-request executors, one disk
-        # directory behind all of them.
-        shared_hits = shared_lookups = 0
-        identical = True
-        t0 = time.perf_counter()
+        # No cache_dir: every fresh service starts cold.
+        memory_out, memory_rate, memory_s = _drain(workload, dexfiles, config, None)
+        # One cache_dir behind every service of the same stream.
         with tempfile.TemporaryDirectory(prefix="calibro-shared-cache-") as tmp:
-            spec = SharedCacheSpec(directory=str(tmp))
-            for index, name in enumerate(workload):
-                with ShardExecutor(shards=_SHARDS, cache=spec) as executor:
-                    results = executor.map_groups(_worker, request_payloads[name])
-                shared_hits += executor.stats.shared_hits
-                shared_lookups += executor.stats.shared_lookups
-                identical &= [_signature(r) for r in results] == [
-                    _signature(r) for r in baseline_results[index]
-                ]
-        shared_s = time.perf_counter() - t0
-        shared_rate = shared_hits / shared_lookups if shared_lookups else 0.0
+            shared_out, shared_rate, shared_s = _drain(
+                workload, dexfiles, config, tmp
+            )
+        identical = memory_out == expected and shared_out == expected
 
         # Ledger trail: one cold and one warm full service build per
         # run, under stable labels so the CI gate compares warm against
         # warm (and cold against cold) across benchmark runs.
-        config = CalibroConfig.cto_ltbo_plopti(groups=PLOPTI_GROUPS)
-        reference = build_app(dexfiles["Meituan"], config).oat.to_bytes()
+        reference = references["Meituan"]
         with tempfile.TemporaryDirectory(prefix="calibro-shared-ledger-") as tmp:
             with BuildService(
                 ServiceConfig(cache_dir=tmp, shards=2, ledger=_LEDGER)
@@ -140,35 +119,33 @@ def test_shared_cache_beats_cache_blind_shards(benchmark):
         identical &= cold.build.oat.to_bytes() == reference
         identical &= warm.build.oat.to_bytes() == reference
 
-        return blind_s, shared_rate, shared_s, shared_lookups, identical
+        return memory_rate, memory_s, shared_rate, shared_s, identical
 
-    blind_s, shared_rate, shared_s, lookups, identical = benchmark.pedantic(
+    memory_rate, memory_s, shared_rate, shared_s, identical = benchmark.pedantic(
         measure, rounds=1, iterations=1
     )
 
     table = format_table(
-        ["executor cache", "requests", "warm hit rate", "seconds"],
+        ["service cache", "requests", "warm hit rate", "seconds"],
         [
-            ["none (cache-blind)", str(_REQUESTS), "0.00", f"{blind_s:.3f}"],
-            [
-                f"shared disk (x{_SHARDS} shards)",
-                str(_REQUESTS),
-                f"{shared_rate:.2f}",
-                f"{shared_s:.3f}",
-            ],
+            ["memory only (no cache_dir)", str(_REQUESTS), f"{memory_rate:.2f}",
+             f"{memory_s:.3f}"],
+            ["one shared cache_dir", str(_REQUESTS), f"{shared_rate:.2f}",
+             f"{shared_s:.3f}"],
         ],
     )
     emit(
         "shared_cache",
-        f"Zipf-reuse stream, fresh shard executors per request "
-        f"(scale {_SCALE}, K={PLOPTI_GROUPS}, {lookups} shared lookups):\n"
+        f"Zipf-reuse stream, a fresh BuildService(shards={_SHARDS}) per "
+        f"request (scale {_SCALE}, K={PLOPTI_GROUPS}; warm hit rate = "
+        f"cached groups / total groups):\n"
         f"{table}\n"
-        f"group results byte-identical across cache modes: {identical}",
+        f"OAT bytes identical to build_app in both arms: {identical}",
     )
 
-    assert identical, "shared-cache group results diverged from cache-blind"
-    # The tentpole claim: cross-shard/cross-request reuse that cache-blind
-    # children cannot have.  Zero means sharing bought nothing.
+    assert identical, "service builds diverged from build_app"
+    # The claim: services on one directory reuse each other's groups,
+    # which fresh memory-only services cannot.  Zero means no reuse.
     assert shared_rate > 0.0, f"shared warm hit rate {shared_rate:.2f} is zero"
 
     # The ledger trajectory flows through the CI gate: wall gating off

@@ -54,6 +54,7 @@ from repro.core.pipeline import CalibroConfig, build_app
 from repro.core.staged import compile_stage, link_stage, outline_stage
 from repro.dex.serialize import load_dexfile, save_dexfile
 from repro.oat.oatfile import OatFile
+from repro.suffixtree.parallel import available_parallelism
 
 __all__ = ["main"]
 
@@ -314,9 +315,6 @@ def _cmd_serve(args) -> int:
         ledger=args.ledger,
         metrics_path=args.metrics_file,
         incremental=args.incremental,
-        # None resolves to "shared exactly when --cache-dir is set";
-        # the flag only ever opts out.
-        shared_cache=False if args.no_shared_cache else None,
     )
     if args.listen:
         if args.inputs:
@@ -924,9 +922,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tenant-quota", type=int, default=4,
                    help="--listen: max in-flight builds per tenant")
     p.add_argument("--max-concurrent", type=int,
-                   default=min(4, os.cpu_count() or 1),
+                   default=min(4, available_parallelism()),
                    help="--listen: builds executing at once (requests still "
-                        "interleave at the socket; default: min(4, cpus))")
+                        "interleave at the socket; default: min(4, usable CPUs))")
     p.add_argument("--flush-interval", type=float, default=None,
                    metavar="SECONDS",
                    help="--listen: refresh --metrics-file on a timer even "
@@ -947,10 +945,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="persistent cache directory (default: in-memory only)")
     p.add_argument("--cache-mb", type=int, default=64,
                    help="disk cache size bound in MiB")
-    p.add_argument("--no-shared-cache", action="store_true",
-                   help="keep shard/pool worker processes off the disk "
-                        "cache (with --cache-dir they read and write it "
-                        "directly by default)")
     p.add_argument("--incremental", action="store_true",
                    help="delta builds via the keyed dependency graph — "
                         "re-executes only nodes whose content hash moved")

@@ -230,7 +230,7 @@ def diff_entries(
     # outline cache (lookups on both sides — a cold baseline with zero
     # traffic gates nothing), the hit rate shrinking beyond the
     # threshold is a regression: a key-derivation change, a broken
-    # shared-cache handle or an over-eager eviction quietly turns warm
+    # disk tier or an over-eager eviction quietly turns warm
     # rebuilds back into cold ones long before wall time moves on small
     # apps.  `service.cache.hit_rate` is a derived ratio in [0, 1], not
     # an emitted counter.

@@ -22,13 +22,7 @@ from repro.service.build import (
     BuildService,
     build_info_labels,
 )
-from repro.service.cache import (
-    DEFAULT_MAX_BYTES,
-    CacheStats,
-    OutlineCache,
-    SharedCacheSpec,
-    fingerprint_methods,
-)
+from repro.service.cache import DEFAULT_MAX_BYTES, CacheStats, OutlineCache
 from repro.service.client import BuildResult, CalibroClient, PendingBuild
 from repro.service.config import SERVICE_CONFIG_SCHEMA_VERSION, ServiceConfig
 from repro.service.faults import FaultPlan, armed
@@ -71,10 +65,8 @@ __all__ = [
     "SERVICE_CONFIG_SCHEMA_VERSION",
     "ServiceConfig",
     "ShardExecutor",
-    "SharedCacheSpec",
     "WorkerPool",
     "armed",
     "build_info_labels",
-    "fingerprint_methods",
     "serve_in_background",
 ]

@@ -162,26 +162,16 @@ class BuildService:
             if self.config.incremental
             else None
         )
-        # With shared_cache resolved on (default whenever cache_dir is
-        # set), shard and pool worker processes open their own
-        # read-through handle on the same disk directory — a group
-        # mined by any child of any tenant is a disk hit everywhere.
-        self._shared_spec = (
-            self.cache.shared_spec() if self.config.shared_cache_enabled else None
-        )
         self.pool = WorkerPool(
             max_workers=self.config.max_workers,
             timeout=self.config.group_timeout,
-            cache=self._shared_spec,
         )
         # shards >= 2 swaps the per-group worker pool for the
         # multi-process shard executor (repro.service.shard) — coarser
         # dispatch units, byte-identical output.
         self.shard_executor = (
             ShardExecutor(
-                shards=self.config.shards,
-                timeout=self.config.shard_timeout,
-                cache=self._shared_spec,
+                shards=self.config.shards, timeout=self.config.shard_timeout
             )
             if self.config.shards is not None and self.config.shards >= 2
             else None
@@ -365,7 +355,6 @@ class BuildService:
             "builds": self.builds_completed,
             "config": self.config.to_dict(),
             "cache": self.cache.stats.as_dict(),
-            "shared_cache": self._shared_spec is not None,
             "pool": self.pool.stats.as_dict(),
         }
         if self.shard_executor is not None:

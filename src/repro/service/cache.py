@@ -32,18 +32,16 @@ Key properties:
   ``os.replace``; a reader racing an eviction sees a plain miss (the
   post-read ``os.utime`` recency refresh tolerates the file vanishing);
   eviction scans tolerate entries deleted underneath them and sweep
-  temp files abandoned by crashed writers.  :class:`SharedCacheSpec` is
-  the picklable recipe group-executor children use to open their own
-  handle on the supervisor's directory — the read-through / write-back
-  layer behind ``ServiceConfig(shared_cache=...)``.
+  temp files abandoned by crashed writers.  That is how services and
+  restarts on one directory share work; only the supervising process
+  opens a cache — group-executor children compute what they are sent.
 
 Counters (`service.cache.*`) feed the observability registry whenever a
-tracer is active — split by tier (``disk_hits`` vs ``memory_hits``) and
-by process role (``supervisor``/``worker``); ``docs/service.md``
-documents the semantics.  The disk tier exposes deterministic
-``CALIBRO_FAULTS`` sites (``cache.read`` / ``cache.write`` /
-``cache.evict``) that always degrade to a miss or a skipped write,
-never a failed build.
+tracer is active — split by tier (``disk_hits`` vs ``memory_hits``);
+``docs/service.md`` documents the semantics.  The disk tier exposes
+deterministic ``CALIBRO_FAULTS`` sites (``cache.read`` /
+``cache.write`` / ``cache.evict``) that always degrade to a miss or a
+skipped write, never a failed build.
 """
 
 from __future__ import annotations
@@ -66,13 +64,7 @@ from repro.core.errors import ServiceError
 from repro.core.outline import GroupOutlineResult
 from repro.service import faults
 
-__all__ = [
-    "CacheStats",
-    "OutlineCache",
-    "SharedCacheSpec",
-    "fingerprint_methods",
-    "outline_payload_key",
-]
+__all__ = ["CacheStats", "OutlineCache"]
 
 #: Bump when the pickle payload or key derivation changes shape —
 #: entries from other versions are ignored (treated as misses).
@@ -85,10 +77,6 @@ _FORMAT_VERSION = 4
 #: Default disk budget: plenty for a CI fleet of generated apps while
 #: still exercising eviction in long batch runs.
 DEFAULT_MAX_BYTES = 64 * 1024 * 1024
-
-#: Which process opened this handle — key material for the per-role
-#: counter split (`service.cache.supervisor_hits` & co.).
-CACHE_ROLES = ("supervisor", "worker")
 
 #: A ``*.tmp`` staging file older than this is an orphan from a crashed
 #: writer and is swept during eviction scans; younger temp files may be
@@ -241,20 +229,6 @@ def _hash_method_fields(h, method: CompiledMethod) -> None:
             _hash_str(h, entry.kind)
 
 
-def fingerprint_methods(methods) -> str:
-    """SHA-256 hex fingerprint of a method list (order-sensitive).
-
-    Used by the service's compile cache; group keys use the same
-    per-method hashing via :meth:`OutlineCache.group_key`.
-    """
-    h = hashlib.sha256()
-    _hash_int(h, _FORMAT_VERSION)
-    _hash_int(h, len(methods))
-    for method in methods:
-        _hash_method(h, method)
-    return h.hexdigest()
-
-
 def _rebrand_name(name: str, old: str, new: str) -> str:
     return new + name[len(old):] if name.startswith(old) else name
 
@@ -364,20 +338,14 @@ class OutlineCache:
         *,
         max_bytes: int = DEFAULT_MAX_BYTES,
         memory_entries: int = 256,
-        role: str = "supervisor",
     ) -> None:
         if max_bytes < 1:
             raise ServiceError("cache max_bytes must be >= 1")
         if memory_entries < 1:
             raise ServiceError("cache memory_entries must be >= 1")
-        if role not in CACHE_ROLES:
-            raise ServiceError(
-                f"cache role must be one of {CACHE_ROLES}, got {role!r}"
-            )
         self.directory = Path(directory) if directory is not None else None
         self.max_bytes = max_bytes
         self.memory_entries = memory_entries
-        self.role = role
         self.stats = CacheStats()
         self._memory: OrderedDict[str, object] = OrderedDict()
         # The async front door runs builds on executor threads sharing
@@ -415,14 +383,6 @@ class OutlineCache:
             _hash_method(h, method)
         return h.hexdigest()
 
-    def lookup_group(self, payload) -> GroupOutlineResult | None:
-        """Return the cached result for ``payload`` (re-branded to its
-        symbol prefix), or ``None`` on a miss."""
-        return self.lookup_chunk(self.group_key(payload), payload[5])
-
-    def store_group(self, payload, result: GroupOutlineResult) -> None:
-        self.store_chunk(self.group_key(payload), payload[5], result)
-
     # -- chunk access by node key (the build-graph splice path) -------------
 
     def lookup_chunk(self, key: str, prefix: str) -> GroupOutlineResult | None:
@@ -430,11 +390,11 @@ class OutlineCache:
         ``prefix``.
 
         Chunks are stored under the prefix they were *computed* with,
-        which is excluded from the key — so any keyed access (graph
-        nodes splicing cached chunks included) must re-brand on the way
-        out, exactly like :meth:`lookup_group` does.  Returning the
-        stored tuple unrebranded would leak another build's symbol
-        prefix into this build's OAT image.
+        which is excluded from the key — so every keyed access (the
+        supervisor's pre-dispatch lookup and graph nodes splicing cached
+        chunks alike) re-brands on the way out.  Returning the stored
+        tuple unrebranded would leak another build's symbol prefix into
+        this build's OAT image.
         """
         entry = self._get(key)
         if entry is None:
@@ -468,7 +428,6 @@ class OutlineCache:
                     self.stats.hits += 1
                     obs.counter_add("service.cache.hits")
                     obs.counter_add("service.cache.memory_hits")
-                    self._count_role_hit()
                     return self._memory[key]
             value = self._disk_read(key)
             if value is not None:
@@ -476,12 +435,10 @@ class OutlineCache:
                 self.stats.disk_hits += 1
                 obs.counter_add("service.cache.hits")
                 obs.counter_add("service.cache.disk_hits")
-                self._count_role_hit()
                 self._memory_put(key, value)
                 return value
             self.stats.misses += 1
             obs.counter_add("service.cache.misses")
-            self._count_role_miss()
             return None
         finally:
             obs.histogram_observe(
@@ -491,31 +448,8 @@ class OutlineCache:
     def _put(self, key: str, value) -> None:
         self.stats.stores += 1
         obs.counter_add("service.cache.stores")
-        self._count_role_store()
         self._memory_put(key, value)
         self._disk_write(key, value)
-
-    # Per-role counter split (`docs/observability.md`).  One static
-    # string literal per branch — the docs-coverage test reads names
-    # out of the source, so they must never be assembled dynamically.
-
-    def _count_role_hit(self) -> None:
-        if self.role == "worker":
-            obs.counter_add("service.cache.worker_hits")
-        else:
-            obs.counter_add("service.cache.supervisor_hits")
-
-    def _count_role_miss(self) -> None:
-        if self.role == "worker":
-            obs.counter_add("service.cache.worker_misses")
-        else:
-            obs.counter_add("service.cache.supervisor_misses")
-
-    def _count_role_store(self) -> None:
-        if self.role == "worker":
-            obs.counter_add("service.cache.worker_stores")
-        else:
-            obs.counter_add("service.cache.supervisor_stores")
 
     def _memory_put(self, key: str, value) -> None:
         with self._lock:
@@ -542,21 +476,6 @@ class OutlineCache:
                     path.unlink(missing_ok=True)
         self.stats = CacheStats()
         obs.gauge_set("service.cache.bytes", 0)
-
-    def shared_spec(self) -> "SharedCacheSpec | None":
-        """The picklable recipe a child process needs to open its own
-        handle on this cache's directory (``None`` for a memory-only
-        cache — there is nothing cross-process to share)."""
-        if self.directory is None:
-            return None
-        return SharedCacheSpec(
-            directory=str(self.directory),
-            max_bytes=self.max_bytes,
-            # Children keep a small memory tier: the disk directory is
-            # the shared source of truth, the per-process LRU only
-            # shields a chunk's own re-lookups.
-            memory_entries=min(self.memory_entries, 64),
-        )
 
     # -- the disk tier ------------------------------------------------------
 
@@ -664,92 +583,3 @@ class OutlineCache:
             obs.counter_add("service.cache.evictions")
         obs.gauge_set("service.cache.bytes", total)
 
-
-# -- cross-process sharing ---------------------------------------------------
-
-#: Handles opened from a :class:`SharedCacheSpec`, one per
-#: ``(directory, role)`` per process.  Keyed with the opening pid so a
-#: fork-started child never reuses the handle object (and its lock /
-#: stats) it inherited from the parent's module state.
-_SHARED_HANDLES: dict[tuple[str, str], tuple[int, "OutlineCache"]] = {}
-
-
-@dataclass(frozen=True)
-class SharedCacheSpec:
-    """The picklable recipe for opening the shared disk cache from any
-    process.
-
-    A live :class:`OutlineCache` cannot cross a process boundary (it
-    owns a lock, live stats, an open directory handle); this spec can.
-    The supervisor derives one from its cache
-    (:meth:`OutlineCache.shared_spec`), the group executor ships it to
-    its children with every dispatch unit, and each child opens — and
-    process-caches — its own handle on the same directory.  Disk-tier
-    atomicity (per-writer temp names + ``os.replace``) is what makes
-    the concurrent handles sound.
-    """
-
-    directory: str
-    max_bytes: int = DEFAULT_MAX_BYTES
-    memory_entries: int = 64
-
-    def open(self, role: str = "worker") -> OutlineCache:
-        """This process's handle for ``role`` (opened once, then
-        reused — a child serves every unit it runs through one
-        handle)."""
-        pid = os.getpid()
-        key = (self.directory, role)
-        cached = _SHARED_HANDLES.get(key)
-        if cached is not None and cached[0] == pid:
-            return cached[1]
-        handle = OutlineCache(
-            self.directory,
-            max_bytes=self.max_bytes,
-            memory_entries=self.memory_entries,
-            role=role,
-        )
-        _SHARED_HANDLES[key] = (pid, handle)
-        return handle
-
-    def lookup_or_compute(self, worker, payload) -> tuple[object, bool | None]:
-        """``worker(payload)``, read through and written back to the
-        shared disk cache from a group-executor child.
-
-        Returns ``(result, hit)``.  A group mined by any process of any
-        tenant is a hit (re-branded to this payload's symbol prefix);
-        payloads that are not outline-shaped go straight to ``worker``
-        and report ``hit=None``.
-        """
-        key, prefix = outline_payload_key(payload)
-        if key is None:
-            return worker(payload), None
-        cache = self.open()
-        hit = cache.lookup_chunk(key, prefix)
-        if hit is not None:
-            return hit, True
-        result = worker(payload)
-        cache.store_chunk(key, prefix, result)
-        return result, False
-
-
-def outline_payload_key(payload) -> tuple[str | None, str | None]:
-    """``(group key, symbol prefix)`` of an outline payload, or
-    ``(None, None)`` when the payload is not outline-shaped.
-
-    The group executor is generic (tests drive it with plain ints), so
-    the shared-cache layer duck-checks the
-    :data:`~repro.core.parallel.OutlinePayload` shape before keying:
-    a 6-tuple with integer thresholds and a string symbol prefix.
-    Anything else passes through uncached.
-    """
-    if (
-        isinstance(payload, tuple)
-        and len(payload) == 6
-        and isinstance(payload[5], str)
-        and all(isinstance(payload[i], int) for i in (2, 3, 4))
-    ):
-        try:
-            return OutlineCache.group_key(payload), payload[5]
-        except Exception:
-            return None, None
-    return None, None

@@ -36,7 +36,8 @@ __all__ = ["SERVICE_CONFIG_SCHEMA_VERSION", "ServiceConfig"]
 #: field addition, removal or meaning change; ``from_dict`` refuses
 #: newer documents with a clear error.
 #: v2: added ``shared_cache`` (cross-process cache sharing knob).
-SERVICE_CONFIG_SCHEMA_VERSION = 2
+#: v3: removed ``shared_cache`` (executor children never open a cache).
+SERVICE_CONFIG_SCHEMA_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -70,30 +71,15 @@ class ServiceConfig:
     metrics_path: str | None = None
     #: Route builds through the keyed dependency graph (delta builds).
     incremental: bool = False
-    #: Give shard/pool worker processes their own read-through handle
-    #: on the disk cache (cross-process, cross-tenant reuse).  ``None``
-    #: resolves to "on exactly when ``cache_dir`` is set"; ``True``
-    #: without a ``cache_dir`` is a configuration error (there is no
-    #: disk tier to share).
-    shared_cache: bool | None = None
-
-    @property
-    def shared_cache_enabled(self) -> bool:
-        """The resolved ``shared_cache`` knob: the explicit value when
-        one was given, else on exactly when the cache persists to
-        disk."""
-        if self.shared_cache is not None:
-            return self.shared_cache
-        return self.cache_dir is not None
 
     def __post_init__(self) -> None:
         for name in ("cache_dir", "ledger", "metrics_path"):
             value = getattr(self, name)
             if value is not None and not isinstance(value, str):
                 object.__setattr__(self, name, os.fspath(value))
-        if self.cache_max_bytes < 0:
+        if self.cache_max_bytes < 1:
             raise ConfigError(
-                f"cache_max_bytes must be >= 0, got {self.cache_max_bytes}"
+                f"cache_max_bytes must be >= 1, got {self.cache_max_bytes}"
             )
         if self.cache_memory_entries < 1:
             raise ConfigError(
@@ -109,15 +95,6 @@ class ServiceConfig:
             value = getattr(self, name)
             if value is not None and value <= 0:
                 raise ConfigError(f"{name} must be None or > 0, got {value}")
-        if self.shared_cache is not None and not isinstance(self.shared_cache, bool):
-            raise ConfigError(
-                f"shared_cache must be None or a bool, got {self.shared_cache!r}"
-            )
-        if self.shared_cache is True and self.cache_dir is None:
-            raise ConfigError(
-                "shared_cache=True requires cache_dir (a memory-only cache "
-                "cannot be shared across processes)"
-            )
 
     # -- the shared dict format (CLI ⇄ service ⇄ stats) ---------------------
 

@@ -9,14 +9,10 @@ protocol (:mod:`repro.service.protocol`), and dispatches admitted
 builds onto the service through a **bounded executor** — the pool,
 shards, incremental graph and content-addressed cache are all reused,
 so every tenant's warm artifacts are shared exactly as ShareJIT shares
-a cross-process code cache.  With a disk-backed cache the sharing
-reaches into the worker processes themselves
-(``ServiceConfig.shared_cache``, on by default when ``cache_dir`` is
-set): shard and pool children hold their own read-through handle on
-the same directory, so a group mined by shard 2 of tenant A is a disk
-hit for shard 0 of tenant B — without a round-trip through the
-supervisor.  The ``status`` op's ``stats["service"]["shared_cache"]``
-field reports the resolved knob.
+a cross-process code cache.  The service looks each PlOpti group up
+before dispatch, so a group tenant A mined is a hit for tenant B; with
+a disk-backed cache that reuse also reaches other services and
+restarts on the same directory.
 
 Admission control happens *before* any work is queued, synchronously in
 the accept loop (no await between check and registration, so admission

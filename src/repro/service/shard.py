@@ -8,8 +8,8 @@ per shard instead of one per group, and the shard mines its groups
 locally.  The executor supplies the
 rest — the fault ladder (per shard batch: ``timeout`` is per batch, the
 ``CALIBRO_FAULTS`` site ``shard:<s>`` names shard ``s`` and
-``group:<i>`` names global group ``i``), trace propagation, the
-shared-cache hook and the ``service.pool.*`` metrics.
+``group:<i>`` names global group ``i``), trace propagation and the
+``service.pool.*`` metrics.
 
 Results are re-assembled by global group index, so the
 ``(length, first)`` ordering contract downstream of
@@ -26,7 +26,6 @@ from typing import Callable, Sequence, TypeVar
 
 from repro.core.errors import ServiceError
 from repro.service import faults
-from repro.service.cache import SharedCacheSpec
 from repro.suffixtree.parallel import GroupExecutor, round_robin_shards
 
 __all__ = ["ShardExecutor"]
@@ -43,9 +42,7 @@ class ShardExecutor(GroupExecutor):
     ``timeout`` is per *shard batch* seconds (``None`` disables) — a
     shard owns many groups, so callers typically scale it up from their
     per-group budget.  ``shards=1`` (or a single payload) runs the chunk
-    in-process: no processes, no pickling, same bytes.  ``cache`` (a
-    :class:`~repro.service.cache.SharedCacheSpec`) gives every shard
-    process a read-through/write-back handle on the shared disk cache.
+    in-process: no processes, no pickling, same bytes.
     """
 
     def __init__(
@@ -53,13 +50,11 @@ class ShardExecutor(GroupExecutor):
         *,
         shards: int,
         timeout: float | None = None,
-        cache: SharedCacheSpec | None = None,
     ) -> None:
         if shards < 1:
             raise ServiceError("shards must be >= 1")
         super().__init__(
-            shards, timeout=timeout, cache=cache,
-            fault_hook=faults.maybe_inject, site="shard",
+            shards, timeout=timeout, fault_hook=faults.maybe_inject, site="shard"
         )
         self.shards = shards
 

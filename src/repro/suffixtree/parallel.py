@@ -19,9 +19,11 @@ runs PlOpti groups is a chunking policy over it:
 
 The executor owns, once each: the pool lifecycle (created lazily,
 replaced by :meth:`GroupExecutor._restart`, released by
-:meth:`GroupExecutor.close`), the fault ladder, trace propagation into
-the children and the shared-cache hook.  A call that yields a single
-chunk runs it in-process — no processes, no pickling.  Either way the
+:meth:`GroupExecutor.close`), the fault ladder and trace propagation
+into the children.  Children compute exactly what they are sent and
+never open a cache: the service's cache lookup happens in the
+supervisor, before dispatch.  A call that yields a single chunk runs
+it in-process — no processes, no pickling.  Either way the
 *partitioning* benefit survives: K small trees have a much smaller
 working set and far fewer candidate repeats than one global tree,
 which is the component of the paper's speedup that does not depend on
@@ -126,10 +128,6 @@ class ExecutorStats:
     retries: int = 0
     restarts: int = 0
     serial_fallbacks: int = 0
-    #: Groups served from the shared disk cache inside child processes,
-    #: and the shared-cache lookups behind them (0/0 without a cache).
-    shared_hits: int = 0
-    shared_lookups: int = 0
 
     def as_dict(self) -> dict[str, int]:
         return asdict(self)
@@ -143,31 +141,20 @@ class _UnitResult:
     #: The child tracer's snapshot (``None`` when the supervisor was
     #: not tracing), adopted by the supervisor.
     trace: obs.Trace | None = None
-    shared_hits: int = 0
-    shared_lookups: int = 0
 
 
-def _compute(worker, site, unit, chunk, cache, fault_hook) -> _UnitResult:
+def _compute(worker, site, unit, chunk, fault_hook) -> _UnitResult:
     outcome = _UnitResult()
     if fault_hook is not None:
         fault_hook(site, str(unit))
     for index, payload in chunk:
         if fault_hook is not None:
             fault_hook("group", str(index))
-        if cache is None:
-            outcome.results.append(worker(payload))
-            continue
-        value, hit = cache.lookup_or_compute(worker, payload)
-        if hit is not None:
-            outcome.shared_lookups += 1
-            if hit:
-                outcome.shared_hits += 1
-                obs.counter_add("service.pool.shared_hits")
-        outcome.results.append(value)
+        outcome.results.append(worker(payload))
     return outcome
 
 
-def _run_unit(worker, site, unit, chunk, ctx, cache, fault_hook) -> _UnitResult:
+def _run_unit(worker, site, unit, chunk, ctx, fault_hook) -> _UnitResult:
     """Run one dispatch unit inside a child process.
 
     Module-level so the pool can pickle it; ``worker`` and
@@ -178,14 +165,14 @@ def _run_unit(worker, site, unit, chunk, ctx, cache, fault_hook) -> _UnitResult:
     the snapshot back for :meth:`~repro.observability.Tracer.adopt`.
     """
     if ctx is None:
-        return _compute(worker, site, unit, chunk, cache, fault_hook)
+        return _compute(worker, site, unit, chunk, fault_hook)
     tracer = obs.Tracer(context=ctx)
     # Process-wide AND thread overlay: a fork-started child inherits
     # the forking thread's overlay (the serve executor thread's), which
     # would otherwise shadow this tracer.
     with obs.tracing(tracer), obs.thread_tracing(tracer):
         with obs.span("service.pool.task", unit=unit, groups=len(chunk)):
-            outcome = _compute(worker, site, unit, chunk, cache, fault_hook)
+            outcome = _compute(worker, site, unit, chunk, fault_hook)
     outcome.trace = tracer.snapshot()
     return outcome
 
@@ -205,16 +192,13 @@ class GroupExecutor:
     in the supervising process.  A worker that raises deterministically
     still raises there: only infrastructure failures are absorbed.
 
-    The service hands its concerns in as picklable objects, so this
-    module never imports :mod:`repro.service`: ``cache`` (a
-    :class:`~repro.service.cache.SharedCacheSpec`) serves outline
-    payloads read-through/write-back from the shared disk cache inside
-    the children, and ``fault_hook`` (``repro.service.faults.
-    maybe_inject``) is called in the children as ``fault_hook(site,
-    unit)`` once per unit and ``fault_hook("group", index)`` once per
-    group.  In-process runs (the single-chunk path and the fallback)
-    use neither: the supervisor's own cache fronts them, and faults
-    fire in children only.
+    The service hands its one concern in as a picklable function, so
+    this module never imports :mod:`repro.service`: ``fault_hook``
+    (``repro.service.faults.maybe_inject``) is called in the children
+    as ``fault_hook(site, unit)`` once per unit and
+    ``fault_hook("group", index)`` once per group.  In-process runs
+    (the single-chunk path and the fallback) skip it: faults fire in
+    children only.
     """
 
     def __init__(
@@ -222,12 +206,10 @@ class GroupExecutor:
         width: int,
         *,
         timeout: float | None = None,
-        cache=None,
         fault_hook: Callable[[str, str], object] | None = None,
         site: str = "pool",
     ) -> None:
         self.timeout = timeout
-        self.cache_spec = cache
         self.fault_hook = fault_hook
         self.site = site
         self.stats = ExecutorStats(width=width)
@@ -325,8 +307,7 @@ class GroupExecutor:
         ctx = tracer.child_context() if tracer is not None else None
         try:
             future = self._pool().submit(
-                _run_unit, worker, self.site, unit, chunk, ctx,
-                self.cache_spec, self.fault_hook,
+                _run_unit, worker, self.site, unit, chunk, ctx, self.fault_hook
             )
         except BrokenProcessPool as exc:
             # An earlier unit's crash broke the pool while this
@@ -379,10 +360,7 @@ class GroupExecutor:
         obs.counter_add("service.pool.failures")
 
     def _absorb(self, outcome: _UnitResult) -> list:
-        """Fold a healthy unit's shared-cache counts into the stats and
-        its child trace into the active one."""
-        self.stats.shared_hits += outcome.shared_hits
-        self.stats.shared_lookups += outcome.shared_lookups
+        """Fold a healthy unit's child trace into the active one."""
         tracer = obs.current_tracer()
         if tracer is not None and outcome.trace is not None:
             if outcome.trace.spans:

@@ -1,9 +1,10 @@
-"""docs/observability.md must document every span/counter/gauge name.
+"""docs/observability.md must document every span/counter/gauge name,
+and document no name the code has stopped emitting.
 
 Instrumentation names are static string literals by convention (no
 f-strings), exactly so this test can hold the documentation to the
-code.  If it fails, either the doc is missing a name or a name was
-built dynamically — both are bugs.
+code.  If it fails, either the doc is missing a name, a name was built
+dynamically, or a row outlived the name it documents — all are bugs.
 """
 
 from __future__ import annotations
@@ -23,6 +24,12 @@ _NAME_CALL = re.compile(
     r"\b(?:span|record_span|counter_add|gauge_set|gauge_max|histogram_observe)"
     r"\(\s*\"([^\"]+)\""
 )
+
+#: A table row of the doc that opens with a dotted metric or span name.
+_ROW_NAME = re.compile(r"^\| `([a-z0-9_]+(?:\.[a-z0-9_]+)+)`", re.MULTILINE)
+
+#: A one-line string literal, double- or single-quoted.
+_LITERAL = re.compile(r"\"([^\"\n]*)\"|'([^'\n]*)'")
 
 
 def emitted_names() -> set[str]:
@@ -53,6 +60,22 @@ def test_every_name_is_documented():
     assert not missing, (
         f"span/counter names emitted in src/ but absent from "
         f"docs/observability.md: {missing}"
+    )
+
+
+def test_every_documented_name_is_in_the_source():
+    """The reverse direction: every dotted name opening a table row must
+    still appear as a string literal under ``src/repro`` (names emitted
+    through a tuple loop, like the ``ltbo.group.*`` phases, count)."""
+    literals: set[str] = set()
+    for path in sorted(SRC.rglob("*.py")):
+        for double, single in _LITERAL.findall(path.read_text(encoding="utf-8")):
+            literals.add(double or single)
+    rows = _ROW_NAME.findall(DOC.read_text(encoding="utf-8"))
+    assert len(rows) > 100  # the row regex still matches the tables
+    stale = sorted(set(rows) - literals)
+    assert not stale, (
+        f"docs/observability.md rows name nothing under src/repro: {stale}"
     )
 
 

@@ -8,12 +8,25 @@ counterexamples when an invariant breaks.
 
 from __future__ import annotations
 
+import os
+import shutil
+import tempfile
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import CalibroConfig, build_app
 from repro.dex import DexClass, DexFile, Interpreter, MethodBuilder
+from repro.oat.oatfile import OatFile
 from repro.runtime import Emulator
+from repro.service import (
+    AsyncBuildServer,
+    BuildService,
+    CalibroClient,
+    ServiceConfig,
+    serve_in_background,
+)
 
 _OPS = ("add", "sub", "mul", "xor", "and", "or")
 
@@ -99,3 +112,45 @@ def test_stackmaps_survive_outlining(dex):
 
     build = build_app(dex, CalibroConfig.cto_ltbo())
     _check_stackmaps(build.oat)
+
+
+# -- the served incremental path ----------------------------------------------
+
+_SERVED_CONFIG = CalibroConfig.cto_ltbo_plopti(2).with_merging()
+
+
+@pytest.fixture(scope="module")
+def served(tmp_path_factory):
+    """One incremental, 2-shard server for every example: each build is
+    a delta against the previous, unrelated program under one label."""
+    service = BuildService(ServiceConfig(
+        cache_dir=tmp_path_factory.mktemp("served-cache"),
+        incremental=True,
+        shards=2,
+    ))
+    # AF_UNIX paths are capped near 108 bytes: keep the socket short.
+    sockdir = tempfile.mkdtemp(prefix="calibro-sock-")
+    sock = os.path.join(sockdir, "s")
+    try:
+        with serve_in_background(AsyncBuildServer(service, sock)):
+            yield CalibroClient(sock, timeout=60.0)
+    finally:
+        service.close()
+        shutil.rmtree(sockdir, ignore_errors=True)
+
+
+@given(
+    dex=_program(),
+    args=st.tuples(st.integers(-1000, 1000), st.integers(-1000, 1000)),
+)
+@settings(max_examples=15, deadline=None)
+def test_served_incremental_program_equals_interpreter(served, dex, args):
+    result = served.build(dex, _SERVED_CONFIG, label="random")
+    assert result.oat_bytes == build_app(dex, _SERVED_CONFIG).oat.to_bytes()
+    interp = Interpreter(dex)
+    emu = Emulator(OatFile.from_bytes(result.oat_bytes), dex)
+    for name in dex.method_names():
+        want = interp.call(name, list(args))
+        got = emu.call(name, list(args))
+        assert got.trap is None
+        assert got.value == want, name

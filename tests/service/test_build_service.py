@@ -101,7 +101,7 @@ def test_stats_document(small_app):
     assert stats["cache"]["stores"] >= 2  # compile result + the group
     assert set(stats["pool"]) == {
         "width", "tasks", "dispatches", "timeouts", "failures", "retries",
-        "restarts", "serial_fallbacks", "shared_hits", "shared_lookups",
+        "restarts", "serial_fallbacks",
     }
 
 

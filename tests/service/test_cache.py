@@ -12,7 +12,7 @@ from repro.core.candidates import select_candidates
 from repro.core.errors import ServiceError
 from repro.core.outline import DEFAULT_MAX_LENGTH, DEFAULT_MIN_LENGTH, DEFAULT_MIN_SAVED
 from repro.core.parallel import _worker
-from repro.service import OutlineCache, fingerprint_methods
+from repro.service import OutlineCache
 
 
 @pytest.fixture(scope="module")
@@ -47,19 +47,13 @@ def test_group_key_is_stable_and_content_sensitive(candidates):
     assert key == OutlineCache.group_key(_payload(candidates, prefix="Other$g7"))
 
 
-def test_fingerprint_is_order_sensitive(candidates):
-    methods = [m for _, m in candidates[:4]]
-    assert fingerprint_methods(methods) == fingerprint_methods(list(methods))
-    assert fingerprint_methods(methods) != fingerprint_methods(methods[::-1])
-
-
 def test_hit_rebrands_to_the_requested_prefix(candidates):
     cache = OutlineCache()
     stored = _payload(candidates, prefix="MethodOutliner$g0")
-    cache.store_group(stored, _worker(stored))
+    cache.store_chunk(OutlineCache.group_key(stored), stored[5], _worker(stored))
 
     wanted = _payload(candidates, prefix="Round1$g3")
-    hit = cache.lookup_group(wanted)
+    hit = cache.lookup_chunk(OutlineCache.group_key(wanted), wanted[5])
     assert hit is not None
     fresh = _worker(wanted)
     assert [m.name for m in hit.outlined] == [m.name for m in fresh.outlined]
@@ -75,24 +69,26 @@ def test_hit_rebrands_to_the_requested_prefix(candidates):
 def test_miss_then_hit_then_stats(candidates):
     cache = OutlineCache()
     payload = _payload(candidates)
-    assert cache.lookup_group(payload) is None
-    cache.store_group(payload, _worker(payload))
-    assert cache.lookup_group(payload) is not None
+    key, prefix = OutlineCache.group_key(payload), payload[5]
+    assert cache.lookup_chunk(key, prefix) is None
+    cache.store_chunk(key, prefix, _worker(payload))
+    assert cache.lookup_chunk(key, prefix) is not None
     assert cache.stats.hits == 1 and cache.stats.misses == 1
     assert cache.stats.stores == 1 and cache.stats.hit_rate == 0.5
 
 
 def test_disk_round_trip_across_instances(tmp_path, candidates):
     payload = _payload(candidates)
+    key, prefix = OutlineCache.group_key(payload), payload[5]
     writer = OutlineCache(tmp_path)
-    writer.store_group(payload, _worker(payload))
+    writer.store_chunk(key, prefix, _worker(payload))
     assert writer.disk_bytes() > 0
 
     reader = OutlineCache(tmp_path)
-    assert reader.lookup_group(payload) is not None
+    assert reader.lookup_chunk(key, prefix) is not None
     assert reader.stats.disk_hits == 1
     # The entry was promoted to memory: a second lookup skips the disk.
-    assert reader.lookup_group(payload) is not None
+    assert reader.lookup_chunk(key, prefix) is not None
     assert reader.stats.disk_hits == 1 and reader.stats.hits == 2
 
 
@@ -173,22 +169,6 @@ def test_constructor_validation():
 
 
 # -- keyed chunk API (the graph's view of the cache) --------------------------
-
-
-def test_lookup_chunk_matches_lookup_group(candidates):
-    """``lookup_chunk(group_key(p), prefix)`` is exactly ``lookup_group``
-    spelled with a precomputed key — the graph layer relies on the two
-    never diverging."""
-    cache = OutlineCache()
-    payload = _payload(candidates)
-    key = OutlineCache.group_key(payload)
-    cache.store_chunk(key, payload[5], _worker(payload))
-    via_key = cache.lookup_chunk(key, payload[5])
-    via_payload = cache.lookup_group(payload)
-    assert via_key is not None and via_payload is not None
-    assert [m.name for m in via_key.outlined] == [
-        m.name for m in via_payload.outlined
-    ]
 
 
 def test_lookup_chunk_rebrands_stored_prefix(candidates):

@@ -35,6 +35,7 @@ def test_defaults_are_valid():
     {"group_timeout": 0.0},
     {"group_timeout": -1.0},
     {"shard_timeout": 0.0},
+    {"cache_max_bytes": 0},
 ])
 def test_bad_values_raise_config_error(kwargs):
     with pytest.raises(ConfigError):

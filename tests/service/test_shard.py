@@ -67,9 +67,6 @@ def test_shard_executor_preserves_payload_order():
         assert executor.stats.tasks == 10
         assert executor.stats.dispatches == 3
         assert executor.stats.serial_fallbacks == 0
-        # No cache spec: children never touch the shared cache.
-        assert executor.cache_spec is None
-        assert executor.stats.shared_lookups == 0
 
 
 def test_single_shard_runs_in_process():
