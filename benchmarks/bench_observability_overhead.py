@@ -102,12 +102,9 @@ def test_observability_overhead(benchmark):
 
         # -- v3 distributed-trace surface ---------------------------------
         # Span-id minting is folded into every enabled span (measured
-        # above); these price the per-request extras: minting a context
-        # + its env encoding, and exporting a real build's trace to
-        # Chrome trace-event JSON.
-        context_mint = _per_call_seconds(
-            lambda: obs.TraceContext.new().to_env(), calls=_CALLS // 10
-        )
+        # above); these price the per-request extras: minting a context,
+        # and exporting a real build's trace to Chrome trace-event JSON.
+        context_mint = _per_call_seconds(obs.TraceContext.new, calls=_CALLS // 10)
         from repro.observability import chrome_events
 
         with obs.tracing() as export_tracer:
@@ -144,7 +141,7 @@ def test_observability_overhead(benchmark):
         ["counter_add() — no tracer installed", f"{r['disabled_counter'] * 1e9:.0f} ns"],
         ["histogram_observe() — no tracer installed", f"{r['disabled_hist'] * 1e9:.0f} ns"],
         ["span() — tracer installed (mints span_id)", f"{r['enabled_span'] * 1e9:.0f} ns"],
-        ["TraceContext.new().to_env()", f"{r['context_mint'] * 1e9:.0f} ns"],
+        ["TraceContext.new()", f"{r['context_mint'] * 1e9:.0f} ns"],
         ["chrome_events(build trace)", f"{r['chrome_export'] * 1e6:.0f} µs"],
         ["counter_add() — tracer installed", f"{r['enabled_counter'] * 1e9:.0f} ns"],
         ["histogram_observe() — tracer installed", f"{r['enabled_hist'] * 1e9:.0f} ns"],

@@ -123,38 +123,57 @@ def outline_group(
     min_saved: int = DEFAULT_MIN_SAVED,
     symbol_prefix: str = "MethodOutliner",
 ) -> GroupOutlineResult:
-    """Outline one group of candidate methods."""
+    """Outline one group of candidate methods.
+
+    Timed where it runs: the ``ltbo.group`` span (attribute ``prefix``)
+    and its stage spans land in whichever tracer is current — the
+    build's when the group runs in-process, the executor child's
+    (adopted into the build's trace) when it is dispatched.
+    """
     stats = OutlineStats(candidate_methods=len(candidates))
     stats.bytes_before = sum(m.size for _, m in candidates)
     if not candidates:
         return GroupOutlineResult(rewritten={}, outlined=[], stats=stats, decisions=[])
 
-    t0 = time.perf_counter()
-    group = map_group(candidates, hot_names)
-    miner = SuffixArrayMiner(group.symbols)
-    stats.sequence_symbols = len(group.symbols)
-    stats.tree_nodes = miner.node_count
-    stats.build_seconds = time.perf_counter() - t0
+    with obs.span("ltbo.group", prefix=symbol_prefix):
+        t0 = time.perf_counter()
+        with obs.span("ltbo.group.tree_build"):
+            with obs.span("ltbo.group.map"):
+                group = map_group(candidates, hot_names)
+            miner = SuffixArrayMiner(group.symbols)
+        stats.sequence_symbols = len(group.symbols)
+        stats.tree_nodes = miner.node_count
+        stats.build_seconds = time.perf_counter() - t0
 
-    t1 = time.perf_counter()
-    decisions = _select(miner, group, min_length, max_length, min_saved, symbol_prefix, stats)
-    stats.search_seconds = time.perf_counter() - t1
-
-    t2 = time.perf_counter()
-    by_method: dict[int, list[tuple[int, int, str]]] = {}
-    for decision in decisions:
-        for method_index, offset in decision.occurrences:
-            by_method.setdefault(method_index, []).append(
-                (offset, 4 * decision.length, decision.name)
+        t1 = time.perf_counter()
+        with obs.span("ltbo.group.select"):
+            decisions = _select(
+                miner, group, min_length, max_length, min_saved, symbol_prefix, stats
             )
+        stats.search_seconds = time.perf_counter() - t1
 
-    rewritten: dict[int, CompiledMethod] = {}
-    method_by_index = dict(candidates)
-    for method_index, occs in by_method.items():
-        rewritten[method_index] = _rewrite(method_by_index[method_index], sorted(occs))
+        t2 = time.perf_counter()
+        with obs.span("ltbo.group.rewrite"):
+            by_method: dict[int, list[tuple[int, int, str]]] = {}
+            for decision in decisions:
+                for method_index, offset in decision.occurrences:
+                    by_method.setdefault(method_index, []).append(
+                        (offset, 4 * decision.length, decision.name)
+                    )
 
-    outlined = [d.compiled() for d in decisions]
-    stats.rewrite_seconds = time.perf_counter() - t2
+            rewritten: dict[int, CompiledMethod] = {}
+            method_by_index = dict(candidates)
+            for method_index, occs in by_method.items():
+                rewritten[method_index] = _rewrite(
+                    method_by_index[method_index], sorted(occs)
+                )
+
+            outlined = [d.compiled() for d in decisions]
+        stats.rewrite_seconds = time.perf_counter() - t2
+    obs.histogram_observe(
+        "ltbo.group.seconds",
+        stats.build_seconds + stats.search_seconds + stats.rewrite_seconds,
+    )
     stats.repeats_outlined = len(decisions)
     stats.occurrences_replaced = sum(len(d.occurrences) for d in decisions)
     new_sizes = {

@@ -134,8 +134,7 @@ def outline_partitioned(
     # and the plopti.jobs gauge records the clamped truth.
     effective_jobs = clamp_jobs(jobs if jobs is not None else groups, groups)
     obs.gauge_set("plopti.jobs", effective_jobs)
-    tracer = obs.current_tracer()
-    with obs.span("ltbo.outline") as outline_span:
+    with obs.span("ltbo.outline"):
         results: list[GroupOutlineResult | None] = [None] * len(payloads)
         misses = list(range(len(payloads)))
         keys: list[str] = []
@@ -174,47 +173,28 @@ def outline_partitioned(
         combined.rewritten.update(result.rewritten)
         combined.outlined.extend(result.outlined)
         combined.group_stats.append(result.stats)
-    if tracer is not None:
-        _flush_observability(tracer, outline_span, partitions, combined)
+    _flush_observability(partitions, combined)
     return combined
 
 
 def _flush_observability(
-    tracer: obs.Tracer,
-    outline_span: obs.Span,
-    partitions: list[list],
-    combined: ParallelOutlineResult,
+    partitions: list[list], combined: ParallelOutlineResult
 ) -> None:
-    """Reconstruct per-partition spans from the worker stats and feed the
-    counter registry.
+    """Feed the counter registry from every group's stats.
 
-    The group work may have run in other processes (no tracer there), so
-    the timings travel back inside each :class:`OutlineStats` and become
-    spans here — one ``ltbo.group`` per partition with the tree-build /
-    benefit-search / rewrite breakdown nested under it.  For groups
-    served from the outline cache the reconstructed spans carry the
-    *original* compute timings (the work the cache saved), not time
-    spent in this build — ``ParallelOutlineResult.cached_groups`` says
-    how many groups that applies to.
+    The ``ltbo.*`` counters describe this build's output, so groups
+    served from the cache count too.  Those groups ran nowhere in this
+    build: they open no span (:func:`~repro.core.outline.outline_group`
+    times the computed ones where they run) and are counted in
+    ``ltbo.cached_groups``.
     """
     obs.counter_add("plopti.partitions", len(partitions))
     obs.gauge_max(
         "plopti.peak_partition_size", max((len(p) for p in partitions), default=0)
     )
-    for gi, stats in enumerate(combined.group_stats):
-        total = stats.build_seconds + stats.search_seconds + stats.rewrite_seconds
-        obs.histogram_observe("ltbo.group.seconds", total)
-        group_span = tracer.record_span(
-            "ltbo.group", total, parent=outline_span, start=outline_span.start, group=gi
-        )
-        cursor = outline_span.start
-        for name, seconds in (
-            ("ltbo.group.tree_build", stats.build_seconds),
-            ("ltbo.group.select", stats.search_seconds),
-            ("ltbo.group.rewrite", stats.rewrite_seconds),
-        ):
-            tracer.record_span(name, seconds, parent=group_span, start=cursor)
-            cursor += seconds
+    if combined.cached_groups:
+        obs.counter_add("ltbo.cached_groups", combined.cached_groups)
+    for stats in combined.group_stats:
         obs.counter_add("ltbo.candidate_methods", stats.candidate_methods)
         obs.counter_add("ltbo.sequence_symbols", stats.sequence_symbols)
         obs.counter_add("ltbo.tree_nodes", stats.tree_nodes)

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import json
 import os
-import time
 from dataclasses import dataclass, field, replace as dc_replace
 from typing import TYPE_CHECKING
 
@@ -312,12 +311,13 @@ def build_app(
     """Compile, (optionally) outline, and link one application.
 
     Phase timings come from the observability spans (``build`` →
-    ``build.dex2oat`` / ``build.ltbo`` / ``build.link``); an already
-    installed tracer is reused (so callers see this build nested in
-    their own trace), otherwise a build-local one is created.  With
-    observability globally disabled the same code runs with that tracer
-    never installed, and ``build.trace`` is ``None`` — the control arm
-    of ``benchmarks/bench_observability_overhead.py``.
+    ``build.dex2oat`` / ``build.ltbo`` / ``build.merge`` /
+    ``build.link``); an already installed tracer is reused (so callers
+    see this build nested in their own trace), otherwise a build-local
+    one is created.  With observability globally disabled the same code
+    runs with that tracer never installed, and ``build.trace`` is
+    ``None`` — the control arm of
+    ``benchmarks/bench_observability_overhead.py``.
 
     The keyword-only extras are the build-service integration points:
     ``compiled`` injects an existing :class:`Dex2OatResult` (skipping
@@ -333,8 +333,8 @@ def build_app(
     if tracer is not None:
         return _build(dexfile, config, tracer, compiled, cache, pool, phase_hook)
     # With observability disabled, tracing() installs nothing: the
-    # build-local tracer then times only the three phase spans opened on
-    # it directly, and every instrumented call inside stays a no-op.
+    # build-local tracer then times only the phase spans opened on it
+    # directly, and every instrumented call inside stays a no-op.
     with obs.tracing() as tracer:
         return _build(dexfile, config, tracer, compiled, cache, pool, phase_hook)
 
@@ -345,26 +345,26 @@ def _phase(phase_hook, name: str) -> None:
 
 
 def _run_passes(
+    tracer: obs.Tracer,
     methods: list,
     config: CalibroConfig,
-    dexfile: DexFile,
     cache,
     pool,
     phase_hook,
 ) -> tuple[PassState, dict[str, float]]:
-    """Run ``config.passes`` over the compiled methods, timing each
-    pass under its ``phase`` bucket (``"ltbo"``, ``"merge"``)."""
+    """Run ``config.passes`` over the compiled methods, each inside its
+    phase span (``build.ltbo``, ``build.merge``) opened on ``tracer``;
+    returns the state and each span's duration under the pass's
+    ``phase`` bucket (``"ltbo"``, ``"merge"``)."""
     state = PassState(methods=methods)
-    context = PassContext(dexfile=dexfile, cache=cache, pool=pool)
+    context = PassContext(cache=cache, pool=pool)
     pass_seconds: dict[str, float] = {}
     for pass_name in config.passes:
         size_pass = PASSES[pass_name]()
         _phase(phase_hook, size_pass.phase)
-        started = time.perf_counter()
-        size_pass.run(state, config, context)
-        pass_seconds[size_pass.phase] = (
-            pass_seconds.get(size_pass.phase, 0.0) + time.perf_counter() - started
-        )
+        with tracer.span(size_pass.span_name) as pass_span:
+            size_pass.run(state, config, context)
+        pass_seconds[size_pass.phase] = pass_span.duration
     return state, pass_seconds
 
 
@@ -387,23 +387,12 @@ def _build(
             )
 
         state, pass_seconds = _run_passes(
-            list(compile_result.methods), config, dexfile, cache, pool, phase_hook
+            tracer, list(compile_result.methods), config, cache, pool, phase_hook
         )
 
         _phase(phase_hook, "link")
         with tracer.span("build.link") as link_span:
             oat = link(state.methods, dexfile, aliases=state.aliases or None)
-
-    # The legacy timings dict and the structured trace must agree
-    # exactly, so the pass buckets come from the pass spans themselves
-    # (``build.ltbo``, ``build.merge``); the stopwatch in
-    # ``_run_passes`` only covers passes that open no span.
-    span_seconds: dict[str, float] = {}
-    for child in build_span.children:
-        phase = child.name.removeprefix("build.")
-        if phase in ("ltbo", "merge"):
-            span_seconds[phase] = span_seconds.get(phase, 0.0) + child.duration
-    pass_seconds.update(span_seconds)
 
     return CalibroBuild(
         oat=oat,

@@ -10,14 +10,16 @@ system splits DEX2OAT from the linking phase.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro import observability as obs
 from repro.compiler.driver import dex2oat
 from repro.compiler.package import CompilationPackage
-from repro.core.candidates import select_candidates
 from repro.core.errors import ConfigError
 from repro.core.hotfilter import HotFunctionFilter
 from repro.core.outline import DEFAULT_MAX_LENGTH, DEFAULT_MIN_LENGTH, DEFAULT_MIN_SAVED
-from repro.core.parallel import outline_partitioned
+from repro.core.passes import OutlinePass, PassContext, PassState
+from repro.core.pipeline import CalibroConfig
 from repro.dex.method import DexFile
 from repro.oat.linker import link
 from repro.oat.oatfile import OatFile
@@ -58,6 +60,11 @@ def outline_stage(
 ) -> CompilationPackage:
     """LTBO.2 over a package; returns the rewritten package.
 
+    Each round runs :class:`~repro.core.passes.OutlinePass`, the pass
+    ``build_app`` runs, so staged and one-shot builds cannot drift; the
+    thresholds are validated as a :class:`CalibroConfig` before any
+    work starts.
+
     ``rounds > 1`` re-runs the outliner over its own output (Uber's
     multi-round approach from the related work).  Outlined functions end
     in ``br`` and never re-outline; later rounds only find repeats the
@@ -67,31 +74,28 @@ def outline_stage(
     """
     if rounds < 1:
         raise ConfigError("rounds must be >= 1")
-    methods = list(package.methods)
-    hot_names = hot_filter.hot_names if hot_filter is not None else frozenset()
+    config = CalibroConfig(
+        ltbo_enabled=True,
+        parallel_groups=groups,
+        jobs=jobs,
+        hot_filter=hot_filter,
+        min_length=min_length,
+        max_length=max_length,
+        min_saved=min_saved,
+    )
+    state = PassState(methods=list(package.methods))
     round_info = []
     for round_index in range(rounds):
+        prefix = (
+            "MethodOutliner" if round_index == 0 else f"MethodOutliner$r{round_index}"
+        )
         with obs.span("stage.outline", round=round_index, groups=groups):
-            with obs.span("ltbo.select_candidates"):
-                selection = select_candidates(methods)
-            prefix = (
-                "MethodOutliner" if round_index == 0 else f"MethodOutliner$r{round_index}"
+            OutlinePass(prefix).run(
+                state,
+                replace(config, partition_seed=seed + round_index),
+                PassContext(),
             )
-            result = outline_partitioned(
-                selection.candidates,
-                groups=groups,
-                hot_names=hot_names,
-                min_length=min_length,
-                max_length=max_length,
-                min_saved=min_saved,
-                jobs=jobs,
-                seed=seed + round_index,
-                symbol_prefix=prefix,
-            )
-            with obs.span("ltbo.apply"):
-                for index, rewritten in result.rewritten.items():
-                    methods[index] = rewritten
-                methods.extend(result.outlined)
+        result = state.ltbo
         round_info.append(
             {
                 "outlined_functions": result.total_outlined_functions,
@@ -110,10 +114,10 @@ def outline_stage(
         "outlined_functions": sum(r["outlined_functions"] for r in round_info),
         "occurrences_replaced": sum(r["occurrences_replaced"] for r in round_info),
         "instructions_saved": sum(r["instructions_saved"] for r in round_info),
-        "hot_filtered": len(hot_names),
+        "hot_filtered": len(hot_filter.hot_names) if hot_filter is not None else 0,
     }
     return CompilationPackage(
-        methods=methods,
+        methods=state.methods,
         string_table=package.string_table,
         cto_enabled=package.cto_enabled,
         annotations=annotations,

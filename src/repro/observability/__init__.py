@@ -25,7 +25,7 @@ and the scrape surface in :mod:`repro.observability.prom`
 (``calibro serve --metrics-file``).
 """
 
-from repro.observability.context import TRACE_CONTEXT_ENV, TraceContext
+from repro.observability.context import TraceContext
 from repro.observability.trace import (
     HISTOGRAM_BOUNDS,
     Histogram,
@@ -85,7 +85,6 @@ __all__ = [
     "PromReporter",
     "Reporter",
     "Span",
-    "TRACE_CONTEXT_ENV",
     "TRACE_SCHEMA_VERSION",
     "TextReporter",
     "Trace",

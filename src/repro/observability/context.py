@@ -10,15 +10,13 @@ must agree on the trace identity and on who its causal parent is.
 by every span of the request, the ``span_id`` of the parent span in the
 upstream process, and a sampling flag.
 
-The context travels two ways, mirroring the fault-plan plumbing in
-:mod:`repro.service.faults`:
+The context travels two ways:
 
 * **over the wire** — as the optional ``trace`` field of a protocol
   request (:meth:`to_dict` / :meth:`from_dict`); unknown fields pass
   through v1 servers untouched, so the protocol stays v1-compatible;
-* **into subprocesses** — as the ``CALIBRO_TRACE_CONTEXT`` environment
-  variable (:meth:`to_env` / :meth:`from_env`), a W3C-``traceparent``
-  style one-liner, for workers that are spawned rather than called.
+* **into executor children** — as a pickled argument sent with each
+  dispatched chunk (:mod:`repro.suffixtree.parallel`).
 
 A tracer constructed with a context mints spans whose ``trace_id`` and
 ``parent_id`` chain back to the upstream span; the parent process then
@@ -32,15 +30,7 @@ import os
 from dataclasses import dataclass
 from typing import Any, Mapping
 
-__all__ = ["TRACE_CONTEXT_ENV", "TraceContext"]
-
-#: Environment variable carrying a serialized context into subprocesses
-#: (the tracing analogue of ``CALIBRO_FAULTS``).
-TRACE_CONTEXT_ENV = "CALIBRO_TRACE_CONTEXT"
-
-#: ``span_id`` placeholder meaning "no upstream parent" in the env
-#: encoding (W3C traceparent uses the same all-zero convention).
-_NO_PARENT = "0" * 16
+__all__ = ["TraceContext"]
 
 
 def _require_hex(value: str, width: int, what: str) -> str:
@@ -116,42 +106,3 @@ class TraceContext:
             span_id=str(data.get("span_id", "") or ""),
             sampled=bool(data.get("sampled", True)),
         )
-
-    # -- env format (subprocess plumbing) -----------------------------------
-
-    def to_env(self) -> str:
-        """One ``traceparent``-style line: ``<trace_id>-<span_id>-<flags>``
-        (span_id all-zero when there is no upstream parent)."""
-        flags = "01" if self.sampled else "00"
-        return f"{self.trace_id}-{self.span_id or _NO_PARENT}-{flags}"
-
-    @classmethod
-    def from_spec(cls, spec: str) -> "TraceContext":
-        from repro.core.errors import CalibroError
-
-        parts = spec.strip().split("-")
-        if len(parts) != 3:
-            raise CalibroError(
-                f"bad trace context spec {spec!r} "
-                "(want <trace_id>-<span_id>-<flags>)"
-            )
-        trace_id, span_id, flags = parts
-        if flags not in ("00", "01"):
-            raise CalibroError(f"bad trace context flags {flags!r} in {spec!r}")
-        return cls(
-            trace_id=trace_id,
-            span_id="" if span_id == _NO_PARENT else span_id,
-            sampled=flags == "01",
-        )
-
-    @classmethod
-    def from_env(cls, environ: Mapping[str, str] | None = None) -> "TraceContext | None":
-        """The context inherited from a parent process, or ``None``.
-        Raises :class:`~repro.core.errors.CalibroError` on a malformed
-        value — a silently dropped context would orphan every span the
-        worker emits."""
-        env = os.environ if environ is None else environ
-        spec = env.get(TRACE_CONTEXT_ENV, "").strip()
-        if not spec:
-            return None
-        return cls.from_spec(spec)

@@ -14,11 +14,7 @@ instrumentation instead of ad-hoc ``time.perf_counter()`` bookkeeping:
 * :func:`histogram_observe` — a :class:`Histogram` registry over fixed
   log-scaled buckets (per-group outline latency, repeat lengths,
   pool queue waits, cache lookup times) with tracked sum/count/min/max
-  and derived p50/p90/p99;
-* :class:`Tracer.record_span` — post-hoc spans for work whose timings
-  arrive as numbers rather than as code to wrap (PlOpti worker
-  partitions run in other processes; the parent reconstructs their
-  spans from the returned :class:`~repro.core.outline.OutlineStats`).
+  and derived p50/p90/p99.
 
 **The no-op fast path.**  Every module-level helper reads the thread
 overlay and one global (``_ACTIVE``) and returns a shared do-nothing
@@ -495,39 +491,6 @@ class Tracer:
             if top is node:
                 break
 
-    def record_span(
-        self,
-        name: str,
-        duration: float,
-        *,
-        parent: Span | None = None,
-        start: float | None = None,
-        **attrs: Any,
-    ) -> Span:
-        """Attach a post-hoc span (work timed elsewhere, e.g. in a PlOpti
-        worker process).  Parents under the current open span by default."""
-        if parent is not None:
-            parent_id = parent.span_id
-        elif self._stack:
-            parent_id = self._stack[-1].span_id
-        else:
-            parent_id = self.context.span_id
-        node = Span(
-            name=name,
-            start=self._clock() - self.epoch if start is None else start,
-            duration=duration,
-            attrs=attrs,
-            span_id=self._mint_span_id(),
-            parent_id=parent_id,
-        )
-        if parent is not None:
-            parent.children.append(node)
-        elif self._stack:
-            self._stack[-1].children.append(node)
-        else:
-            self.roots.append(node)
-        return node
-
     @property
     def current_span(self) -> Span | None:
         return self._stack[-1] if self._stack else None
@@ -656,7 +619,7 @@ class Tracer:
         """
         now = self._clock() - self.epoch
         # An unsampled context (TraceContext.sampled=False, carried on
-        # the wire or via CALIBRO_TRACE_CONTEXT) downgrades span
+        # the wire or into an executor child) downgrades span
         # recording: the snapshot ships registries only — counters,
         # gauges and histograms still aggregate exactly, but no span
         # forest travels back to (or out of) this process.  Span
@@ -711,8 +674,9 @@ _TLS = _Overlay()
 
 def enabled() -> bool:
     """False when observability is globally disabled (``CALIBRO_OBS_OFF``
-    or :func:`set_disabled`) — the pipeline then keeps its plain
-    stopwatch fallback and no tracer can be installed."""
+    or :func:`set_disabled`) — no tracer can be installed, and the
+    pipeline times its phase spans on a build-local tracer it never
+    installs."""
     return not _DISABLED
 
 

@@ -68,5 +68,4 @@ class TestPipelineIntegration:
         assert state.selection is None and state.ltbo is None
         assert state.merge is None
         context = PassContext()
-        assert context.dexfile is None and context.cache is None
-        assert context.pool is None
+        assert context.cache is None and context.pool is None

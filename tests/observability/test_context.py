@@ -6,7 +6,7 @@ import pytest
 
 from repro import observability as obs
 from repro.core.errors import CalibroError
-from repro.observability import TRACE_CONTEXT_ENV, TraceContext
+from repro.observability import TraceContext
 
 
 def _counted_double(value):
@@ -59,33 +59,6 @@ def test_wire_round_trip():
 def test_from_dict_refuses_non_mapping():
     with pytest.raises(CalibroError, match="mapping"):
         TraceContext.from_dict(["not", "a", "dict"])
-
-
-def test_env_round_trip_with_and_without_parent():
-    parented = TraceContext(trace_id="ab" * 16, span_id="cd" * 8)
-    assert parented.to_env() == f"{'ab' * 16}-{'cd' * 8}-01"
-    assert TraceContext.from_spec(parented.to_env()) == parented
-
-    root = TraceContext(trace_id="ab" * 16, sampled=False)
-    assert root.to_env() == f"{'ab' * 16}-{'0' * 16}-00"
-    assert TraceContext.from_spec(root.to_env()) == root
-
-
-def test_from_env_reads_the_variable():
-    ctx = TraceContext(trace_id="12" * 16, span_id="34" * 8)
-    environ = {TRACE_CONTEXT_ENV: ctx.to_env()}
-    assert TraceContext.from_env(environ) == ctx
-    assert TraceContext.from_env({}) is None
-    assert TraceContext.from_env({TRACE_CONTEXT_ENV: "  "}) is None
-
-
-@pytest.mark.parametrize("spec", [
-    "not-a-context", "a-b", "x" * 32 + "-" + "0" * 16 + "-01",
-    "ab" * 16 + "-" + "0" * 16 + "-7f",
-])
-def test_malformed_env_value_raises(spec):
-    with pytest.raises(CalibroError):
-        TraceContext.from_env({TRACE_CONTEXT_ENV: spec})
 
 
 def test_tracer_inherits_the_context():

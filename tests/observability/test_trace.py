@@ -92,20 +92,6 @@ def test_missed_inner_close_does_not_corrupt_outer(tracer, clock):
     assert outer.children[0].duration == pytest.approx(2.0)
 
 
-def test_record_span_parenting(tracer, clock):
-    with tracer.span("outer") as outer:
-        group = tracer.record_span("group", 1.5, parent=outer, start=0.0, group=0)
-        tracer.record_span("group.inner", 1.0, parent=group, start=0.0)
-        implicit = tracer.record_span("implicit", 0.25)
-    root_level = tracer.record_span("detached", 0.5)
-
-    assert group in outer.children and implicit in outer.children
-    assert group.duration == pytest.approx(1.5)
-    assert group.attrs == {"group": 0}
-    assert group.children[0].name == "group.inner"
-    assert root_level in tracer.roots
-
-
 # -- counters / gauges ------------------------------------------------------
 
 

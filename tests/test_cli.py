@@ -67,6 +67,17 @@ def test_outline_shrinks_text(package, outlined):
     assert after.annotations["outline"]["outlined_functions"] > 0
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--min-length", "65"], ["--min-length", "0"], ["--min-saved", "-1"]],
+    ids=["min-length-above-max-length", "min-length-zero", "min-saved-negative"],
+)
+def test_outline_rejects_invalid_thresholds(workdir, package, flags):
+    out = workdir / "invalid.pkg"
+    assert main(["outline", str(package), "-o", str(out), *flags]) == 2
+    assert not out.exists()
+
+
 def test_link_produces_runnable_oat(oat_path, dex_json):
     oat = OatFile.from_bytes(oat_path.read_bytes())
     assert oat.text_size > 0
