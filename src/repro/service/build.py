@@ -259,8 +259,10 @@ class BuildService:
             raise ServiceError("build service is closed")
         config = config or CalibroConfig.baseline()
         start = time.perf_counter()
-        hits_before = self.cache.stats.hits
-        misses_before = self.cache.stats.misses
+        # This thread's tallies, not the service-wide stats: builds on
+        # other front-door threads share the cache, and every lookup of
+        # this build runs here (executor children never open a cache).
+        hits_before, misses_before = self.cache.thread_lookups()
         pool = self.shard_executor if self.shard_executor is not None else self.pool
         graph_delta: GraphDelta | None = None
         with obs.span("service.build", label=label or config.name, config=config.name):
@@ -294,13 +296,14 @@ class BuildService:
         seconds = time.perf_counter() - start
         obs.histogram_observe("service.build.seconds", seconds)
         if self.ledger is not None:
+            hits_after, misses_after = self.cache.thread_lookups()
             self.ledger.append(
                 obs.entry_from_build(
                     build,
                     label=label,
                     wall_seconds=seconds,
-                    cache_hits=self.cache.stats.hits - hits_before,
-                    cache_misses=self.cache.stats.misses - misses_before,
+                    cache_hits=hits_after - hits_before,
+                    cache_misses=misses_after - misses_before,
                     graph=graph_delta.as_dict() if graph_delta is not None else None,
                 )
             )

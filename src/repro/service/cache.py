@@ -20,10 +20,14 @@ Key properties:
 * **Two tiers.**  A bounded in-memory LRU (``memory_entries``) fronts
   an optional on-disk store (``directory``): one file per entry,
   sharded by the first two hex digits of the key, written atomically.
-* **Size-bounded LRU eviction.**  The disk store is capped at
-  ``max_bytes``; when a store pushes it over, least-recently-used
-  entries (by access time — hits re-touch their file) are deleted until
-  it fits.
+* **Size-bounded LRU eviction without a scan per store.**  The disk
+  store is capped at ``max_bytes``.  Each handle keeps the tier's byte
+  total in memory (seeded by a directory scan at its first store,
+  advanced by every entry it publishes) and scans again only when that
+  total would pass ``max_bytes`` or it has written ``max_bytes //
+  _SCAN_SHARE`` since its last scan.  Each scan deletes
+  least-recently-used entries (by access time — hits re-touch their
+  file) until the tier is one share below the bound.
 * **Crash safety.**  A corrupt or truncated entry is treated as a miss
   and deleted; the cache never fails a build.
 * **Multi-process safety.**  Any number of processes may read, write
@@ -49,6 +53,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import itertools
+import math
 import os
 import pickle
 import threading
@@ -83,6 +88,12 @@ DEFAULT_MAX_BYTES = 64 * 1024 * 1024
 #: a live writer's in-flight entry and are left alone.
 _TMP_MAX_AGE_SECONDS = 300.0
 
+#: A handle rescans the disk tier once it has written this share of
+#: ``max_bytes`` since its last scan (so other processes' entries show
+#: up in its tracked total), and eviction frees the tier to this share
+#: below the bound (so a full tier scans once per share, not per store).
+_SCAN_SHARE = 8
+
 #: Per-process sequence for staging names: two threads of one process
 #: (the async front door runs builds on executor threads) must not
 #: share a staging path any more than two processes may.
@@ -112,11 +123,17 @@ def publish_atomically(path: Path, data: bytes) -> None:
         raise
 
 
+def _stale_tmp_cutoff() -> float:
+    """Stage files last modified before this are crashed writers'
+    orphans (see :data:`_TMP_MAX_AGE_SECONDS`)."""
+    return time.time() - _TMP_MAX_AGE_SECONDS
+
+
 def sweep_stale_stage_files(directory: Path, pattern: str) -> None:
     """Delete the stage files under *directory* matching *pattern* that
     crashed writers abandoned.  Only stale ones go: a live writer's
     in-flight stage file is seconds old, an orphan is minutes old."""
-    cutoff = time.time() - _TMP_MAX_AGE_SECONDS
+    cutoff = _stale_tmp_cutoff()
     for path in directory.glob(pattern):
         try:
             if path.stat().st_mtime < cutoff:
@@ -323,6 +340,13 @@ class CacheStats:
         }
 
 
+class _LookupTally(threading.local):
+    """One thread's lookups through one cache handle."""
+
+    hits = 0
+    misses = 0
+
+
 class OutlineCache:
     """Content-addressed store for ``outline_group`` results (plus the
     service's generic content-addressed objects, e.g. compile results).
@@ -349,8 +373,17 @@ class OutlineCache:
         self.stats = CacheStats()
         self._memory: OrderedDict[str, object] = OrderedDict()
         # The async front door runs builds on executor threads sharing
-        # one service cache; OrderedDict reorder-on-hit is not atomic.
+        # one service cache; OrderedDict reorder-on-hit is not atomic,
+        # and neither is ``+=`` on the stats or the tracked total.
         self._lock = threading.RLock()
+        # A build's lookups all run on the thread that submitted it
+        # (see :meth:`thread_lookups`).
+        self._thread = _LookupTally()
+        # The disk tier's size as of this handle's last scan plus every
+        # entry it has published since (``None`` until its first store
+        # scans), and the bytes published since that scan.
+        self._tracked: int | None = None
+        self._unscanned = 0
         if self.directory is not None:
             try:
                 self.directory.mkdir(parents=True, exist_ok=True)
@@ -419,37 +452,59 @@ class OutlineCache:
 
     # -- the two tiers ------------------------------------------------------
 
+    def thread_lookups(self) -> tuple[int, int]:
+        """``(hits, misses)`` of every lookup the calling thread has made
+        through this handle.  Monotonic (:meth:`clear` does not reset
+        them), so the difference across a build is that build's own
+        traffic even while other threads' builds share the cache."""
+        return self._thread.hits, self._thread.misses
+
+    def _count_lookup(self, hit: bool) -> None:
+        """Count one lookup service-wide and for the calling thread
+        (caller holds ``self._lock``)."""
+        if hit:
+            self.stats.hits += 1
+            self._thread.hits += 1
+            obs.counter_add("service.cache.hits")
+        else:
+            self.stats.misses += 1
+            self._thread.misses += 1
+            obs.counter_add("service.cache.misses")
+
     def _get(self, key: str):
         t0 = time.perf_counter()
         try:
             with self._lock:
                 if key in self._memory:
                     self._memory.move_to_end(key)
-                    self.stats.hits += 1
-                    obs.counter_add("service.cache.hits")
+                    self._count_lookup(hit=True)
                     obs.counter_add("service.cache.memory_hits")
                     return self._memory[key]
             value = self._disk_read(key)
+            with self._lock:
+                self._count_lookup(hit=value is not None)
+                if value is not None:
+                    self.stats.disk_hits += 1
             if value is not None:
-                self.stats.hits += 1
-                self.stats.disk_hits += 1
-                obs.counter_add("service.cache.hits")
                 obs.counter_add("service.cache.disk_hits")
                 self._memory_put(key, value)
-                return value
-            self.stats.misses += 1
-            obs.counter_add("service.cache.misses")
-            return None
+            return value
         finally:
             obs.histogram_observe(
                 "service.cache.lookup_seconds", time.perf_counter() - t0
             )
 
     def _put(self, key: str, value) -> None:
-        self.stats.stores += 1
+        with self._lock:
+            self.stats.stores += 1
         obs.counter_add("service.cache.stores")
         self._memory_put(key, value)
-        self._disk_write(key, value)
+        if self.directory is not None:
+            t0 = time.perf_counter()
+            self._disk_write(key, value)
+            obs.histogram_observe(
+                "service.cache.store_seconds", time.perf_counter() - t0
+            )
 
     def _memory_put(self, key: str, value) -> None:
         with self._lock:
@@ -467,14 +522,12 @@ class OutlineCache:
         """
         with self._lock:
             self._memory.clear()
-        for path in self._entry_files():
-            with contextlib.suppress(OSError):
-                path.unlink(missing_ok=True)
-        if self.directory is not None and self.directory.exists():
-            for path in self.directory.glob("??/*.tmp"):
+            for _, _, path in self._scan(tmp_cutoff=math.inf):
                 with contextlib.suppress(OSError):
-                    path.unlink(missing_ok=True)
-        self.stats = CacheStats()
+                    os.unlink(path)
+            self._tracked = None  # the next store scans
+            self._unscanned = 0
+            self.stats = CacheStats()
         obs.gauge_set("service.cache.bytes", 0)
 
     # -- the disk tier ------------------------------------------------------
@@ -483,21 +536,42 @@ class OutlineCache:
         assert self.directory is not None
         return self.directory / key[:2] / f"{key}.bin"
 
-    def _entry_files(self) -> list[Path]:
-        if self.directory is None or not self.directory.exists():
-            return []
-        return [p for p in self.directory.glob("??/*.bin") if p.is_file()]
+    def _scan(self, tmp_cutoff: float) -> list[tuple[float, int, str]]:
+        """One ``os.scandir`` walk of the shard directories: ``(mtime,
+        size, path)`` per entry, statting each once.  On the way it
+        deletes stage files last modified before *tmp_cutoff*.  A file
+        that fails to stat or unlink is skipped — a concurrent evictor,
+        writer or healer got it first."""
+        entries: list[tuple[float, int, str]] = []
+        if self.directory is None:
+            return entries
+        try:
+            shards = [d.path for d in os.scandir(self.directory)
+                      if len(d.name) == 2 and d.is_dir()]
+        except OSError:
+            return entries  # the directory was torn down underneath us
+        for shard in shards:
+            try:
+                with os.scandir(shard) as files:
+                    for entry in files:
+                        try:
+                            if entry.name.endswith(".bin"):
+                                st = entry.stat()
+                                entries.append((st.st_mtime, st.st_size, entry.path))
+                            elif (entry.name.endswith(".tmp")
+                                  and entry.stat().st_mtime < tmp_cutoff):
+                                os.unlink(entry.path)
+                        except OSError:
+                            continue
+            except OSError:
+                continue  # the shard vanished between the two listings
+        return entries
 
     def disk_bytes(self) -> int:
-        """Current size of the on-disk tier (entries deleted underneath
-        the scan by a concurrent evictor simply don't count)."""
-        total = 0
-        for p in self._entry_files():
-            try:
-                total += p.stat().st_size
-            except OSError:
-                continue
-        return total
+        """Current size of the on-disk tier, by a fresh scan (entries
+        deleted underneath it by a concurrent evictor simply don't
+        count)."""
+        return sum(size for _, size, _ in self._scan(_stale_tmp_cutoff()))
 
     def _disk_read(self, key: str):
         if self.directory is None:
@@ -529,8 +603,6 @@ class OutlineCache:
         return payload["value"]
 
     def _disk_write(self, key: str, value) -> None:
-        if self.directory is None:
-            return
         try:
             faults.maybe_inject("cache.write", key[:12])
         except ServiceError:
@@ -544,42 +616,52 @@ class OutlineCache:
             # Disk full / permissions / directory torn down underneath
             # us: the entry is simply not cached.
             return
-        self._evict(key)
+        with self._lock:
+            if self._tracked is not None:
+                self._tracked += len(data)
+                self._unscanned += len(data)
+                if (
+                    self._tracked <= self.max_bytes
+                    and self._unscanned < self.max_bytes // _SCAN_SHARE
+                ):
+                    obs.gauge_set("service.cache.bytes", self._tracked)
+                    return
+            self._evict(key)
 
-    def _evict(self, key: str = "") -> None:
-        """Delete least-recently-used entries until the disk tier fits
-        ``max_bytes`` again.  Concurrent evictors are tolerated: an
-        entry deleted underneath the scan still counts toward the bytes
-        freed, it just isn't double-counted as *our* eviction."""
+    def _evict(self, key: str) -> None:
+        """Scan the disk tier and delete least-recently-used entries
+        until it is ``max_bytes // _SCAN_SHARE`` below the bound, so the
+        share this handle writes before its next scan still fits; the
+        scanned total re-seeds the tracked one (caller holds
+        ``self._lock``).  Trimming only a tier *over* the bound would
+        leave it within a share of it, and the next few stores would
+        scan again.  Concurrent evictors are tolerated: an entry deleted
+        underneath the scan still counts toward the bytes freed, it just
+        isn't double-counted as *our* eviction."""
         try:
             faults.maybe_inject("cache.evict", key[:12])
         except ServiceError:
-            return  # an injected evict fault skips this pass
-        sweep_stale_stage_files(self.directory, "??/*.tmp")
-        entries = []
-        for p in self._entry_files():
-            try:
-                st = p.stat()
-            except OSError:
-                continue  # deleted mid-scan by a concurrent evictor
-            entries.append((st.st_mtime, st.st_size, p))
+            return  # skipped; the tracked total still asks for a scan
+        obs.counter_add("service.cache.scans")
+        entries = self._scan(_stale_tmp_cutoff())
         total = sum(size for _, size, _ in entries)
-        if total <= self.max_bytes:
-            obs.gauge_set("service.cache.bytes", total)
-            return
-        entries.sort(key=lambda e: (e[0], e[2].name))
-        for _, size, path in entries:
-            if total <= self.max_bytes:
-                break
-            try:
-                path.unlink()
-            except FileNotFoundError:
-                total -= size  # a concurrent evictor freed it first
-                continue
-            except OSError:
-                continue
-            total -= size
-            self.stats.evictions += 1
-            obs.counter_add("service.cache.evictions")
+        floor = self.max_bytes - self.max_bytes // _SCAN_SHARE
+        if total > floor:  # sort only when something goes
+            entries.sort(key=lambda e: (e[0], e[2]))
+            for _, size, path in entries:
+                if total <= floor:
+                    break
+                try:
+                    os.unlink(path)
+                except FileNotFoundError:
+                    total -= size  # a concurrent evictor freed it first
+                    continue
+                except OSError:
+                    continue
+                total -= size
+                self.stats.evictions += 1
+                obs.counter_add("service.cache.evictions")
+        self._tracked = total
+        self._unscanned = 0
         obs.gauge_set("service.cache.bytes", total)
 

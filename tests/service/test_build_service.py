@@ -8,8 +8,12 @@ result was computed cold or assembled from cache hits.
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 
+from repro import observability as obs
 from repro.core import CalibroConfig, build_app
 from repro.core.errors import ServiceError
 from repro.core.hotfilter import HotFunctionFilter
@@ -110,3 +114,42 @@ def test_closed_service_rejects_builds(small_app):
     svc.close()
     with pytest.raises(ServiceError):
         svc.submit(small_app.dexfile)
+
+
+def test_concurrent_builds_record_only_their_own_cache_traffic(tmp_path, small_app):
+    """Regression: each ledger entry's ``cache_hits``/``cache_misses``
+    used to be the change in the service-wide stats across the build,
+    so builds overlapping on two front-door threads counted each
+    other's lookups and the entries summed to more than the cache
+    served.  A lookup belongs to the thread that submitted its build."""
+    configs = [CalibroConfig.cto_ltbo_plopti(groups=4), CalibroConfig.cto_ltbo_plopti(groups=2)]
+    ledger = obs.BuildLedger(tmp_path / "ledger.jsonl")
+    barrier = threading.Barrier(len(configs))
+    errors: list[Exception] = []
+
+    def client(svc, config):
+        try:
+            barrier.wait(timeout=60)
+            for round_index in range(3):
+                svc.submit(small_app.dexfile, config, label=f"{config.name}-{round_index}")
+        except Exception as exc:  # surfaced by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)  # interleave the two builds finely
+    try:
+        with BuildService(ServiceConfig(cache_dir=tmp_path / "cache", max_workers=1),
+                          ledger=ledger) as svc:
+            threads = [threading.Thread(target=client, args=(svc, c)) for c in configs]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=300)
+            assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
+    entries = ledger.entries()
+    assert len(entries) == 6
+    assert sum(e.cache_hits for e in entries) == svc.cache.stats.hits
+    assert sum(e.cache_misses for e in entries) == svc.cache.stats.misses

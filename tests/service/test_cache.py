@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from repro import observability as obs
 from repro.compiler.driver import dex2oat
 from repro.core.candidates import select_candidates
 from repro.core.errors import ServiceError
@@ -190,3 +191,69 @@ def test_lookup_chunk_rebrands_stored_prefix(candidates):
             r.symbol for r in fresh.rewritten[index].relocations
         ]
     assert [d.name for d in hit.decisions] == [d.name for d in fresh.decisions]
+
+
+# -- stores without a scan per store ------------------------------------------
+
+
+def _store_scans(tracer) -> int:
+    return tracer.counters.get("service.cache.scans", 0)
+
+
+def test_stores_below_the_bound_scan_only_at_the_first(tmp_path):
+    """A handle seeds its tracked byte total with one scan at its first
+    store and only adds to it afterwards, while the tier is far below
+    the bound and the handle has written less than an eighth of it."""
+    with obs.tracing() as tracer:
+        cache = OutlineCache(tmp_path)  # 64 MiB
+        for index in range(20):
+            cache.store_object(f"{index:02x}" * 32, b"v" * 500)
+        assert _store_scans(tracer) == 1
+    assert tracer.histograms["service.cache.store_seconds"].count == 20
+    assert tracer.gauges["service.cache.bytes"] == cache.disk_bytes()
+
+
+def test_full_tier_stays_bounded_and_scans_once_per_share(tmp_path):
+    """At capacity a scan evicts to an eighth below the bound, so the
+    next scan comes an eighth of the budget later — not at every store —
+    and no store ever leaves the tier above ``max_bytes``."""
+    max_bytes = 64_000
+    with obs.tracing() as tracer:
+        cache = OutlineCache(tmp_path, max_bytes=max_bytes, memory_entries=1)
+        for index in range(200):
+            cache.store_object(f"{index:04x}" * 16, bytes([index % 251]) * 1000)
+            assert cache.disk_bytes() <= max_bytes
+        assert _store_scans(tracer) <= 200 // 6
+    assert cache.stats.evictions > 0
+
+
+def test_two_handles_overshoot_the_bound_by_at_most_their_shares(tmp_path):
+    """Two handles on one directory stand in for two processes: neither
+    sees the other's writes until it scans, so the tier may pass the
+    bound, but by at most one share plus one entry per handle — and the
+    first store of a fresh handle scans it back under the bound."""
+    max_bytes = 64_000
+    handles = [OutlineCache(tmp_path, max_bytes=max_bytes, memory_entries=1)
+               for _ in range(2)]
+    handles[0].store_object("ff" * 32, b"s" * 1000)
+    [first] = list(tmp_path.rglob("*.bin"))
+    entry_size = first.stat().st_size
+    slack = 2 * (max_bytes // 8 + entry_size)
+    for index in range(200):
+        handles[index % 2].store_object(f"{index:04x}" * 16, b"e" * 1000)
+        assert handles[0].disk_bytes() <= max_bytes + slack
+    fresh = OutlineCache(tmp_path, max_bytes=max_bytes)
+    fresh.store_object("ee" * 32, b"f" * 1000)
+    assert fresh.disk_bytes() <= max_bytes
+
+
+def test_clear_makes_the_next_store_scan(tmp_path):
+    with obs.tracing() as tracer:
+        cache = OutlineCache(tmp_path)
+        cache.store_object("aa" * 32, b"v")
+        cache.store_object("bb" * 32, b"v")
+        assert _store_scans(tracer) == 1
+        cache.clear()
+        cache.store_object("cc" * 32, b"v")
+        assert _store_scans(tracer) == 2
+    assert tracer.gauges["service.cache.bytes"] == cache.disk_bytes() > 0
