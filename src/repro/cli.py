@@ -381,13 +381,6 @@ def _cmd_serve(args) -> int:
         f"pool {pool['tasks']} tasks "
         f"({pool['retries']} retries, {pool['serial_fallbacks']} serial fallbacks)"
     )
-    if "shard" in stats:
-        shard = stats["shard"]
-        print(
-            f"shards: {shard['width']} x {shard['dispatches']} dispatches, "
-            f"{shard['tasks']} groups ({shard['retries']} retries, "
-            f"{shard['serial_fallbacks']} serial fallbacks)"
-        )
     if args.ledger:
         print(f"ledger -> {args.ledger}")
     if args.metrics_file:

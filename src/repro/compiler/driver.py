@@ -4,23 +4,28 @@ Every method is compiled independently (as in real dex2oat); the only
 cross-method state is the CTO thunk cache, which is exactly the paper's
 design — CTO works *during* per-method code generation against a shared
 label cache, and the thunk bodies join the link set afterwards.
+:func:`compile_method` is that per-method unit: ``dex2oat``'s codegen
+loop runs it against the shared cache, and the incremental build graph
+(:mod:`repro.service.graph`) runs it once per rebuilt method node
+against the node's own cache.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro import observability as obs
 from repro.compiler.codegen import compile_graph, compile_jni_stub
 from repro.compiler.compiled import CompiledMethod
 from repro.core.patterns import ThunkCache
-from repro.dex.method import DexFile
+from repro.dex.method import DexFile, DexMethod
 from repro.dex.verifier import verify_dexfile
 from repro.hgraph.builder import build_hgraph
+from repro.hgraph.ir import HGraph
 from repro.hgraph.passes import PassManager
 
-__all__ = ["Dex2OatResult", "dex2oat"]
+__all__ = ["Dex2OatResult", "compile_method", "dex2oat"]
 
 
 @dataclass
@@ -72,7 +77,7 @@ def dex2oat(
     cache = ThunkCache() if cto else None
 
     methods = dexfile.all_methods()
-    graphs: dict[str, object] = {}
+    graphs: dict[str, HGraph] = {}
     with obs.span("dex2oat.hgraph"):
         for method in methods:
             if not method.is_native:
@@ -85,31 +90,21 @@ def dex2oat(
 
     compiled: list[CompiledMethod] = []
     before = after = 0
-    native_stubs = 0
-    traced = obs.current_tracer() is not None
     with obs.span("dex2oat.codegen"):
         for method_id, method in enumerate(methods):
-            t0 = time.perf_counter() if traced else 0.0
-            if method.is_native:
-                compiled.append(compile_jni_stub(method, method_id, cache))
-                native_stubs += 1
-            else:
-                graph = graphs[method.name]
-                stats = manager.run(graph)
-                before += stats.instructions_before
-                after += stats.instructions_after
-                compiled.append(compile_graph(graph, method, cache))
-            if traced:
-                obs.histogram_observe(
-                    "compile.method_seconds", time.perf_counter() - t0
-                )
+            method_compiled, ir_before, ir_after = compile_method(
+                method, method_id, cache, manager, graphs.get(method.name)
+            )
+            compiled.append(method_compiled)
+            before += ir_before
+            after += ir_after
     if cache is not None:
         with obs.span("dex2oat.thunks"):
             thunks = cache.compiled_thunks()
         compiled.extend(thunks)
         _flush_cto_counters(cache, thunks)
     obs.counter_add("dex2oat.methods", len(methods))
-    obs.counter_add("dex2oat.native_stubs", native_stubs)
+    obs.counter_add("dex2oat.native_stubs", sum(m.is_native for m in methods))
     obs.counter_add("dex2oat.ir_instructions_removed", before - after)
     obs.counter_add("dex2oat.inlined_sites", inlined_sites)
     return Dex2OatResult(
@@ -120,6 +115,36 @@ def dex2oat(
         ir_instructions_after=after,
         inlined_sites=inlined_sites,
     )
+
+
+def compile_method(
+    method: DexMethod,
+    method_id: int,
+    thunks: ThunkCache | None,
+    manager: PassManager,
+    graph: HGraph | None = None,
+) -> tuple[CompiledMethod, int, int]:
+    """Compile one method: a JNI stub for a native method, otherwise the
+    pass pipeline and codegen over ``graph`` (built from the method when
+    not given).  CTO sites land in ``thunks`` (``None``: CTO off).
+
+    Returns the compiled method and the IR instruction counts before and
+    after the passes (both 0 for a stub).  Observes
+    ``compile.method_seconds``; the clock is read only under a tracer.
+    """
+    tracer = obs.current_tracer()
+    start = time.perf_counter() if tracer is not None else 0.0
+    if method.is_native:
+        compiled, before, after = compile_jni_stub(method, method_id, thunks), 0, 0
+    else:
+        if graph is None:
+            graph = build_hgraph(method)
+        stats = manager.run(graph)
+        compiled = compile_graph(graph, method, thunks)
+        before, after = stats.instructions_before, stats.instructions_after
+    if tracer is not None:
+        tracer.histogram_observe("compile.method_seconds", time.perf_counter() - start)
+    return compiled, before, after
 
 
 def _flush_cto_counters(cache: ThunkCache, thunks: list[CompiledMethod]) -> None:

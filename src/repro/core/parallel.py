@@ -22,8 +22,9 @@ service layer:
   ``lookup_chunk(key, prefix)`` and ``store_chunk(key, prefix, result)``;
   cached groups skip the mining work entirely (see
   :class:`repro.service.OutlineCache`);
-* ``pool`` — an executor with ``map_groups(worker, payloads)``; used
-  instead of :func:`repro.suffixtree.parallel.map_over_groups` (see
+* ``pool`` — an executor with ``map_groups(worker, payloads)`` and a
+  ``stats.width``; used instead of
+  :func:`repro.suffixtree.parallel.map_over_groups` (see
   :class:`repro.service.WorkerPool` and
   :class:`repro.service.ShardExecutor`, the per-group and per-shard
   chunking policies over the same supervised executor).
@@ -114,9 +115,10 @@ def outline_partitioned(
     defaults to ``groups`` and is *clamped to the CPU count* whether
     defaulted or explicit — asking for 64 jobs on a 4-core host
     schedules 4, not 64 (the clamped value is recorded as the
-    ``plopti.jobs`` gauge).  ``symbol_prefix`` namespaces the outlined
-    functions (multi-round callers pass a per-round prefix to keep
-    symbols unique).  ``cache``/``pool`` are the optional build-service
+    ``plopti.jobs`` gauge; with a ``pool``, the gauge records the
+    pool's width capped by the groups it ran).  ``symbol_prefix``
+    namespaces the outlined functions (multi-round callers pass a
+    per-round prefix to keep symbols unique).  ``cache``/``pool`` are the optional build-service
     collaborators described in the module docstring.
     """
     if groups < 1:
@@ -133,7 +135,8 @@ def outline_partitioned(
     # defaulted: an explicit jobs=64 on a 4-core host schedules 4 jobs,
     # and the plopti.jobs gauge records the clamped truth.
     effective_jobs = clamp_jobs(jobs if jobs is not None else groups, groups)
-    obs.gauge_set("plopti.jobs", effective_jobs)
+    if pool is None:
+        obs.gauge_set("plopti.jobs", effective_jobs)
     with obs.span("ltbo.outline"):
         results: list[GroupOutlineResult | None] = [None] * len(payloads)
         misses = list(range(len(payloads)))
@@ -154,6 +157,11 @@ def outline_partitioned(
             miss_payloads = [payloads[i] for i in misses]
             if pool is not None:
                 computed = pool.map_groups(_worker, miss_payloads)
+                # Both service chunking policies run one process per
+                # dispatch unit, at most width, never more than payloads.
+                obs.gauge_set(
+                    "plopti.jobs", min(pool.stats.width, len(miss_payloads))
+                )
             else:
                 computed = map_over_groups(_worker, miss_payloads, jobs=effective_jobs)
             for index, result in zip(misses, computed):

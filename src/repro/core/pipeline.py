@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field, replace as dc_replace
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from repro import observability as obs
 from repro.compiler.driver import Dex2OatResult, dex2oat
@@ -243,6 +243,12 @@ class CalibroConfig:
         return cls(hot_filter=hot_filter, **payload)
 
 
+#: How ``build_app`` compiles: ``step(dexfile, config)`` returns the
+#: compile result and how many methods it compiled in this build (0 when
+#: every artifact came from a cache).
+CompileStep = Callable[[DexFile, "CalibroConfig"], tuple[Dex2OatResult, int]]
+
+
 @dataclass
 class CalibroBuild:
     """A finished build: the OAT image plus every measurement the
@@ -251,6 +257,9 @@ class CalibroBuild:
     oat: OatFile
     config: CalibroConfig
     dex2oat: Dex2OatResult
+    #: Methods the compile step compiled in this build; 0 when the whole
+    #: result came from a cache (the ``build.dex2oat`` span's ``cached``).
+    methods_compiled: int = 0
     selection: CandidateSelection | None = None
     ltbo: ParallelOutlineResult | None = None
     merge: "MergeResult | None" = None
@@ -303,7 +312,7 @@ def build_app(
     dexfile: DexFile,
     config: CalibroConfig | None = None,
     *,
-    compiled: Dex2OatResult | None = None,
+    compile_step: CompileStep | None = None,
     cache=None,
     pool=None,
     phase_hook=None,
@@ -320,8 +329,10 @@ def build_app(
     ``benchmarks/bench_observability_overhead.py``.
 
     The keyword-only extras are the build-service integration points:
-    ``compiled`` injects an existing :class:`Dex2OatResult` (skipping
-    dex2oat — the compile cache), ``cache``/``pool`` flow to
+    ``compile_step`` (a :data:`CompileStep`) replaces the plain
+    ``dex2oat`` call inside ``build.dex2oat`` — the service's cached
+    whole-dex compile or the build graph's per-method nodes — so every
+    path times its compile work there; ``cache``/``pool`` flow to
     :func:`~repro.core.parallel.outline_partitioned` (the outline cache
     and the persistent worker pool), and ``phase_hook`` — a
     ``callable(phase: str)`` — fires as each pipeline phase starts
@@ -331,12 +342,18 @@ def build_app(
     config = config or CalibroConfig.baseline()
     tracer = obs.current_tracer()
     if tracer is not None:
-        return _build(dexfile, config, tracer, compiled, cache, pool, phase_hook)
+        return _build(dexfile, config, tracer, compile_step, cache, pool, phase_hook)
     # With observability disabled, tracing() installs nothing: the
     # build-local tracer then times only the phase spans opened on it
     # directly, and every instrumented call inside stays a no-op.
     with obs.tracing() as tracer:
-        return _build(dexfile, config, tracer, compiled, cache, pool, phase_hook)
+        return _build(dexfile, config, tracer, compile_step, cache, pool, phase_hook)
+
+
+def _dex2oat(dexfile: DexFile, config: CalibroConfig) -> tuple[Dex2OatResult, int]:
+    """The default compile step: one uncached ``dex2oat`` run."""
+    result = dex2oat(dexfile, cto=config.cto_enabled, inline=config.inlining)
+    return result, len(dexfile.all_methods())
 
 
 def _phase(phase_hook, name: str) -> None:
@@ -372,19 +389,18 @@ def _build(
     dexfile: DexFile,
     config: CalibroConfig,
     tracer: obs.Tracer,
-    compiled: Dex2OatResult | None = None,
+    compile_step: CompileStep | None = None,
     cache=None,
     pool=None,
     phase_hook=None,
 ) -> CalibroBuild:
     with tracer.span("build", config=config.name) as build_span:
         _phase(phase_hook, "dex2oat")
-        with tracer.span(
-            "build.dex2oat", cto=config.cto_enabled, cached=compiled is not None
-        ) as compile_span:
-            compile_result = compiled if compiled is not None else dex2oat(
-                dexfile, cto=config.cto_enabled, inline=config.inlining
+        with tracer.span("build.dex2oat", cto=config.cto_enabled) as compile_span:
+            compile_result, methods_compiled = (compile_step or _dex2oat)(
+                dexfile, config
             )
+            compile_span.attrs["cached"] = methods_compiled == 0
 
         state, pass_seconds = _run_passes(
             tracer, list(compile_result.methods), config, cache, pool, phase_hook
@@ -398,6 +414,7 @@ def _build(
         oat=oat,
         config=config,
         dex2oat=compile_result,
+        methods_compiled=methods_compiled,
         selection=state.selection,
         ltbo=state.ltbo,
         merge=state.merge,

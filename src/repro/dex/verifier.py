@@ -7,6 +7,8 @@ with a clear message instead of miscompiling.
 
 from __future__ import annotations
 
+from typing import Container
+
 from repro.dex import bytecode as bc
 from repro.dex.method import DexFile, DexMethod
 
@@ -17,15 +19,12 @@ class VerificationError(ValueError):
     """A method violates a structural invariant."""
 
 
-def _check_reg(method: DexMethod, reg: int, where: str) -> None:
-    if not 0 <= reg < method.num_registers:
-        raise VerificationError(
-            f"{method.name}: register v{reg} out of range at {where} "
-            f"(method declares {method.num_registers})"
-        )
+def _where(idx: int, instr: bc.Instruction) -> str:
+    """An error's location, formatted only once a check has failed."""
+    return f"instruction {idx} ({type(instr).__name__})"
 
 
-def verify_method(method: DexMethod, known_methods: set[str] | None = None) -> None:
+def verify_method(method: DexMethod, known_methods: Container[str] | None = None) -> None:
     """Check register ranges, branch targets, terminator placement and
     (optionally) that every invoked method exists."""
     if method.is_native:
@@ -39,10 +38,9 @@ def verify_method(method: DexMethod, known_methods: set[str] | None = None) -> N
         raise VerificationError(f"{method.name}: control can fall off the end")
 
     for idx, instr in enumerate(code):
-        where = f"instruction {idx} ({type(instr).__name__})"
         for target in instr.branch_targets():
             if not 0 <= target < len(code):
-                raise VerificationError(f"{method.name}: branch target {target} out of range at {where}")
+                raise VerificationError(f"{method.name}: branch target {target} out of range at {_where(idx, instr)}")
         regs: list[int] = []
         if isinstance(instr, (bc.Const, bc.ConstString)):
             regs = [instr.dst]
@@ -61,13 +59,13 @@ def verify_method(method: DexMethod, known_methods: set[str] | None = None) -> N
         elif isinstance(instr, bc.InvokeStatic):
             regs = list(instr.args) + ([instr.dst] if instr.dst is not None else [])
             if len(instr.args) > 6:
-                raise VerificationError(f"{method.name}: more than 6 call arguments at {where}")
+                raise VerificationError(f"{method.name}: more than 6 call arguments at {_where(idx, instr)}")
         elif isinstance(instr, bc.InvokeVirtual):
             regs = [instr.receiver] + list(instr.args)
             if instr.dst is not None:
                 regs.append(instr.dst)
             if len(instr.args) > 5:
-                raise VerificationError(f"{method.name}: more than 5 virtual call arguments at {where}")
+                raise VerificationError(f"{method.name}: more than 5 virtual call arguments at {_where(idx, instr)}")
         elif isinstance(instr, bc.NewInstance):
             regs = [instr.dst]
         elif isinstance(instr, bc.NewArray):
@@ -83,23 +81,29 @@ def verify_method(method: DexMethod, known_methods: set[str] | None = None) -> N
         elif isinstance(instr, bc.APut):
             regs = [instr.src, instr.array, instr.index]
         for reg in regs:
-            _check_reg(method, reg, where)
+            if not 0 <= reg < method.num_registers:
+                raise VerificationError(
+                    f"{method.name}: register v{reg} out of range at "
+                    f"{_where(idx, instr)} (method declares {method.num_registers})"
+                )
         if known_methods is not None and isinstance(
             instr, (bc.InvokeStatic, bc.InvokeVirtual)
         ):
             if instr.method not in known_methods:
-                raise VerificationError(f"{method.name}: unknown callee {instr.method!r} at {where}")
+                raise VerificationError(f"{method.name}: unknown callee {instr.method!r} at {_where(idx, instr)}")
         if isinstance(instr, bc.Return) and not method.returns_value:
-            raise VerificationError(f"{method.name}: value return in void method at {where}")
+            raise VerificationError(f"{method.name}: value return in void method at {_where(idx, instr)}")
 
 
 def verify_dexfile(dexfile: DexFile) -> None:
-    """Verify every method, resolving callees across the whole file."""
-    names = set(dexfile.method_names())
-    if len(names) != len(dexfile.method_names()):
+    """Verify every method, resolving callees across the whole file
+    through one name index."""
+    methods = dexfile.all_methods()
+    by_name = {method.name: method for method in methods}
+    if len(by_name) != len(methods):
         raise VerificationError("duplicate method names in dex file")
-    for method in dexfile.all_methods():
-        verify_method(method, known_methods=names)
+    for method in methods:
+        verify_method(method, known_methods=by_name)
         for instr in method.code:
             if isinstance(instr, bc.ConstString) and not (
                 0 <= instr.string_idx < len(dexfile.string_table)
@@ -108,7 +112,7 @@ def verify_dexfile(dexfile: DexFile) -> None:
                     f"{method.name}: string index {instr.string_idx} out of range"
                 )
             if isinstance(instr, (bc.InvokeStatic, bc.InvokeVirtual)):
-                callee = dexfile.find_method(instr.method)
+                callee = by_name[instr.method]
                 expects = instr.dst is not None
                 if expects and not callee.returns_value and not callee.is_native:
                     raise VerificationError(

@@ -6,8 +6,10 @@ build farm does the opposite — it builds *many* apps, *repeatedly*,
 with most inputs unchanged between runs.  :class:`BuildService` is that
 amortizing layer:
 
-* one persistent :class:`~repro.service.pool.WorkerPool` for the
-  service lifetime (timeout + retry + serial fallback per group);
+* one persistent group executor for the service lifetime — a
+  :class:`~repro.service.pool.WorkerPool`, or a
+  :class:`~repro.service.shard.ShardExecutor` at ``shards >= 2``
+  (retry + serial fallback per dispatch unit);
 * an :class:`~repro.service.cache.OutlineCache` keyed on group content,
   so unchanged methods across rebuilds and identical groups across apps
   skip the mining work;
@@ -32,9 +34,9 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
+from functools import partial
 
 from repro import __version__, observability as obs
-from repro.compiler.driver import Dex2OatResult
 from repro.core.errors import ServiceError
 from repro.core.pipeline import (
     SUMMARY_SCHEMA_VERSION,
@@ -45,7 +47,7 @@ from repro.core.pipeline import (
 from repro.dex.method import DexFile
 from repro.service.cache import OutlineCache
 from repro.service.config import ServiceConfig
-from repro.service.graph import BuildGraph, GraphDelta, dex_node_key
+from repro.service.graph import BuildGraph, GraphDelta, compile_dex_node, dex_node_key
 from repro.service.pool import WorkerPool
 from repro.service.protocol import PROTOCOL_VERSION
 from repro.service.shard import ShardExecutor
@@ -123,10 +125,11 @@ class BuildService:
     exposition file refreshed after every build and at :meth:`close`
     (requires an active tracer to have anything to export; the
     exposition always carries the static ``calibro_build_info``
-    labelset).  ``shards >= 2`` routes group work through the
+    labelset).  The service owns one group executor, ``pool``: the
     :class:`~repro.service.shard.ShardExecutor` (one chunk per shard)
-    instead of the per-group worker pool (``shard_timeout`` is its
-    per-batch budget) — output bytes are identical either way.
+    at ``shards >= 2``, otherwise the per-group
+    :class:`~repro.service.pool.WorkerPool` — output bytes are
+    identical either way.
     ``incremental=True`` replaces the all-or-nothing compile cache with
     the keyed build dependency graph (:mod:`repro.service.graph`):
     only nodes whose content hash moved re-execute, the rest splice
@@ -144,9 +147,7 @@ class BuildService:
     ) -> None:
         self.config = config if config is not None else ServiceConfig()
         self.cache = OutlineCache(
-            self.config.cache_dir,
-            max_bytes=self.config.cache_max_bytes,
-            memory_entries=self.config.cache_memory_entries,
+            self.config.cache_dir, max_bytes=self.config.cache_max_bytes
         )
         # incremental=True routes every submit through the keyed build
         # dependency graph (repro.service.graph): per-node reuse instead
@@ -162,19 +163,13 @@ class BuildService:
             if self.config.incremental
             else None
         )
-        self.pool = WorkerPool(
-            max_workers=self.config.max_workers,
-            timeout=self.config.group_timeout,
-        )
-        # shards >= 2 swaps the per-group worker pool for the
-        # multi-process shard executor (repro.service.shard) — coarser
+        # shards >= 2 dispatches one round-robin chunk per shard process
+        # (repro.service.shard) instead of one group per chunk — coarser
         # dispatch units, byte-identical output.
-        self.shard_executor = (
-            ShardExecutor(
-                shards=self.config.shards, timeout=self.config.shard_timeout
-            )
+        self.pool: WorkerPool | ShardExecutor = (
+            ShardExecutor(shards=self.config.shards)
             if self.config.shards is not None and self.config.shards >= 2
-            else None
+            else WorkerPool(max_workers=self.config.max_workers)
         )
         if ledger is None:
             ledger = self.config.ledger
@@ -200,9 +195,12 @@ class BuildService:
     def close(self) -> None:
         self.flush_metrics()
         self.pool.close()
-        if self.shard_executor is not None:
-            self.shard_executor.close()
         self._closed = True
+
+    @property
+    def shard_executor(self) -> ShardExecutor | None:
+        """The service's executor when it shards (``shards >= 2``)."""
+        return self.pool if isinstance(self.pool, ShardExecutor) else None
 
     def flush_metrics(self) -> bool:
         """Refresh the Prometheus exposition file now (no-op without
@@ -263,33 +261,25 @@ class BuildService:
         # other front-door threads share the cache, and every lookup of
         # this build runs here (executor children never open a cache).
         hits_before, misses_before = self.cache.thread_lookups()
-        pool = self.shard_executor if self.shard_executor is not None else self.pool
         graph_delta: GraphDelta | None = None
         with obs.span("service.build", label=label or config.name, config=config.name):
             if self.graph is not None:
                 if phase_hook is not None:
                     phase_hook("graph.delta")
                 build, graph_delta = self.graph.build(
-                    dexfile, config, label=label or config.name, pool=pool
-                )
-                compile_cached = (
-                    graph_delta.methods_total > 0
-                    and graph_delta.methods_rebuilt == 0
+                    dexfile, config, label=label or config.name, pool=self.pool
                 )
             else:
-                compiled, compile_cached = self._compile_cached(dexfile, config)
                 build = build_app(
                     dexfile,
                     config,
-                    compiled=compiled,
+                    compile_step=partial(
+                        compile_dex_node, self.cache, dex_node_key(dexfile, config)
+                    ),
                     cache=self.cache,
-                    pool=pool,
+                    pool=self.pool,
                     phase_hook=phase_hook,
                 )
-                if not compile_cached:
-                    self.cache.store_object(
-                        self._compile_key(dexfile, config), build.dex2oat
-                    )
         with self._submit_lock:
             self.builds_completed += 1
         obs.counter_add("service.builds")
@@ -312,7 +302,7 @@ class BuildService:
             label=label,
             build=build,
             seconds=seconds,
-            compile_cached=compile_cached,
+            compile_cached=build.methods_compiled == 0,
             cached_groups=build.ltbo.cached_groups if build.ltbo else 0,
             total_groups=len(build.ltbo.group_stats) if build.ltbo else 0,
             graph=graph_delta,
@@ -325,26 +315,6 @@ class BuildService:
                 self.submit(req.dexfile, req.config, label=req.label)
                 for req in requests
             ]
-
-    # -- the compile cache --------------------------------------------------
-
-    @staticmethod
-    def _compile_key(dexfile: DexFile, config: CalibroConfig) -> str:
-        """Content address of one dex2oat invocation: the full dex
-        document plus the flags that shape compilation.  Canonically
-        defined as the build graph's whole-dex node key, so incremental
-        and batch builds share compile artifacts."""
-        return dex_node_key(dexfile, config)
-
-    def _compile_cached(
-        self, dexfile: DexFile, config: CalibroConfig
-    ) -> tuple[Dex2OatResult | None, bool]:
-        cached = self.cache.lookup_object(self._compile_key(dexfile, config))
-        if cached is not None:
-            obs.counter_add("service.compile_cache.hits")
-            return cached, True
-        obs.counter_add("service.compile_cache.misses")
-        return None, False
 
     # -- introspection ------------------------------------------------------
 
@@ -360,8 +330,6 @@ class BuildService:
             "cache": self.cache.stats.as_dict(),
             "pool": self.pool.stats.as_dict(),
         }
-        if self.shard_executor is not None:
-            out["shard"] = self.shard_executor.stats.as_dict()
         if self.graph is not None:
             out["incremental"] = True
         return out

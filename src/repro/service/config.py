@@ -37,7 +37,9 @@ __all__ = ["SERVICE_CONFIG_SCHEMA_VERSION", "ServiceConfig"]
 #: newer documents with a clear error.
 #: v2: added ``shared_cache`` (cross-process cache sharing knob).
 #: v3: removed ``shared_cache`` (executor children never open a cache).
-SERVICE_CONFIG_SCHEMA_VERSION = 3
+#: v4: removed ``group_timeout``, ``shard_timeout`` and
+#: ``cache_memory_entries`` (no caller set them).
+SERVICE_CONFIG_SCHEMA_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -54,17 +56,11 @@ class ServiceConfig:
     cache_dir: str | None = None
     #: Disk-tier size bound in bytes (LRU eviction above it).
     cache_max_bytes: int = DEFAULT_MAX_BYTES
-    #: In-memory LRU entry bound (always present, disk or not).
-    cache_memory_entries: int = 256
     #: Worker pool width; ``None`` = usable CPUs.
     max_workers: int | None = None
-    #: Per-group timeout (seconds) in the worker pool; ``None`` = wait.
-    group_timeout: float | None = None
-    #: ``>= 2`` routes group work through the multi-process shard
-    #: executor; ``None``/``1`` uses the in-process worker pool.
+    #: ``>= 2`` makes the service's executor the multi-process shard
+    #: executor; ``None``/``1`` makes it the per-group worker pool.
     shards: int | None = None
-    #: Per-batch timeout (seconds) for one shard dispatch.
-    shard_timeout: float | None = None
     #: JSONL build-ledger path; every build appends its durable record.
     ledger: str | None = None
     #: Prometheus exposition file, refreshed after every build.
@@ -81,20 +77,12 @@ class ServiceConfig:
             raise ConfigError(
                 f"cache_max_bytes must be >= 1, got {self.cache_max_bytes}"
             )
-        if self.cache_memory_entries < 1:
-            raise ConfigError(
-                f"cache_memory_entries must be >= 1, got {self.cache_memory_entries}"
-            )
         if self.max_workers is not None and self.max_workers < 1:
             raise ConfigError(
                 f"max_workers must be None or >= 1, got {self.max_workers}"
             )
         if self.shards is not None and self.shards < 1:
             raise ConfigError(f"shards must be None or >= 1, got {self.shards}")
-        for name in ("group_timeout", "shard_timeout"):
-            value = getattr(self, name)
-            if value is not None and value <= 0:
-                raise ConfigError(f"{name} must be None or > 0, got {value}")
 
     # -- the shared dict format (CLI ⇄ service ⇄ stats) ---------------------
 

@@ -68,16 +68,13 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
 from repro import observability as obs
-from repro.compiler.codegen import compile_graph, compile_jni_stub
 from repro.compiler.compiled import CompiledMethod
-from repro.compiler.driver import Dex2OatResult, dex2oat
+from repro.compiler.driver import Dex2OatResult, compile_method, dex2oat
 from repro.core.errors import ServiceError
 from repro.core.patterns import ThunkCache
-from repro.dex import bytecode as bc
 from repro.dex.method import DexFile, DexMethod
 from repro.dex.serialize import dexfile_to_json
-from repro.dex.verifier import VerificationError, verify_method
-from repro.hgraph.builder import build_hgraph
+from repro.dex.verifier import verify_dexfile
 from repro.hgraph.passes import PassManager
 from repro.service.cache import publish_atomically, sweep_stale_stage_files
 
@@ -90,6 +87,7 @@ __all__ = [
     "BuildGraph",
     "GraphDelta",
     "GraphState",
+    "compile_dex_node",
     "config_fingerprint",
     "dex_node_key",
     "method_node_key",
@@ -154,10 +152,9 @@ def dex_node_key(dexfile: DexFile, config: "CalibroConfig") -> str:
     """Content key of the whole-dex compile node: the full dex document
     plus the flags that shape compilation.
 
-    This is also the batch service's compile-cache key
-    (:meth:`repro.service.build.BuildService._compile_key` delegates
-    here), so incremental and non-incremental builds share whole-dex
-    compile artifacts.
+    This is also the batch service's compile-cache key, so incremental
+    and non-incremental builds share whole-dex compile artifacts
+    (:func:`compile_dex_node`).
     """
     h = hashlib.sha256()
     h.update(b"compile:v1:")
@@ -168,6 +165,25 @@ def dex_node_key(dexfile: DexFile, config: "CalibroConfig") -> str:
         .encode("utf-8")
     )
     return f"compile:{h.hexdigest()}"
+
+
+def compile_dex_node(
+    cache: "OutlineCache", key: str, dexfile: DexFile, config: "CalibroConfig"
+) -> tuple[Dex2OatResult, int]:
+    """The cached whole-dex compile under ``key`` (:func:`dex_node_key`):
+    the batch service's compile cache and the graph's ``config.inlining``
+    fallback.  A hit returns the stored result; a miss (or a polluted
+    entry) runs ``dex2oat`` and stores it.  Returns the result and the
+    methods compiled — a :data:`~repro.core.pipeline.CompileStep` once
+    ``cache`` and ``key`` are bound."""
+    cached = cache.lookup_object(key)
+    if isinstance(cached, Dex2OatResult):
+        obs.counter_add("service.compile_cache.hits")
+        return cached, 0
+    obs.counter_add("service.compile_cache.misses")
+    result = dex2oat(dexfile, cto=config.cto_enabled, inline=config.inlining)
+    cache.store_object(key, result)
+    return result, len(dexfile.all_methods())
 
 
 @dataclass
@@ -303,43 +319,6 @@ class GraphDelta:
         }
 
 
-def _verify_cross_method(dexfile: DexFile, methods: list[DexMethod]) -> set[str]:
-    """The file-level half of :func:`~repro.dex.verifier.verify_dexfile`
-    — the checks that depend on *other* methods or the string table, so
-    they can change even for a method whose own bytes did not.
-
-    Runs on every method on every delta build (a deleted callee or a
-    shrunken string table must fail exactly as a scratch build would);
-    the intra-method half (:func:`~repro.dex.verifier.verify_method`)
-    is content-keyed and runs only for rebuilt nodes.  Returns the
-    method-name set for callee resolution.
-    """
-    names = [m.name for m in methods]
-    known = set(names)
-    if len(known) != len(names):
-        raise VerificationError("duplicate method names in dex file")
-    by_name = {m.name: m for m in methods}
-    for method in methods:
-        for instr in method.code:
-            if isinstance(instr, bc.ConstString) and not (
-                0 <= instr.string_idx < len(dexfile.string_table)
-            ):
-                raise VerificationError(
-                    f"{method.name}: string index {instr.string_idx} out of range"
-                )
-            if isinstance(instr, (bc.InvokeStatic, bc.InvokeVirtual)):
-                callee = by_name.get(instr.method)
-                if callee is None:
-                    raise VerificationError(
-                        f"{method.name}: unknown callee {instr.method!r}"
-                    )
-                if instr.dst is not None and not callee.returns_value and not callee.is_native:
-                    raise VerificationError(
-                        f"{method.name}: expects a result from void {callee.name}"
-                    )
-    return known
-
-
 def _valid_method_entry(entry: Any) -> bool:
     """Shape-check a cached method-node artifact — a polluted or
     hand-corrupted entry must rebuild the node, never mis-assemble."""
@@ -437,29 +416,33 @@ class BuildGraph:
         config: "CalibroConfig",
         delta: GraphDelta,
         bundle_key: str,
-    ) -> tuple[Dex2OatResult, dict[str, str]]:
-        """Assemble a :class:`Dex2OatResult` from per-method nodes.
+        node_keys: dict[str, str],
+    ) -> tuple[Dex2OatResult, int]:
+        """Assemble a :class:`Dex2OatResult` from per-method nodes,
+        filling ``node_keys`` (method name → node key); returns it with
+        the number of methods recompiled.
 
-        Reused nodes come from the previous build's **artifact bundle**
-        — one cache object per (label, config) slot mapping method node
-        key to compiled artifact, so a delta costs one store read/write
+        The whole file verifies first, as in ``dex2oat``.  Reused nodes
+        come from the previous build's **artifact bundle** — one cache
+        object per (label, config) slot mapping method node key to
+        compiled artifact, so a delta costs one store read/write
         instead of one per method.  Moved (or missing/damaged) nodes
         recompile with a *fresh per-method* thunk cache, and every
         per-method cache merges into one shared cache whose sorted
         thunk union is byte-identical to a whole-dex run's.
         """
+        start = time.perf_counter()
+        with obs.span("dex2oat.verify"):
+            verify_dexfile(dexfile)
         methods = dexfile.all_methods()
         merged = ThunkCache() if config.cto_enabled else None
         manager = PassManager()
         compiled: list[CompiledMethod] = []
-        node_keys: dict[str, str] = {}
         previous_bundle = self.cache.lookup_object(bundle_key)
         if not isinstance(previous_bundle, dict):
             previous_bundle = {}  # absent, torn or polluted: rebuild below
         bundle: dict[str, tuple] = {}
         before = after = 0
-        start = time.perf_counter()
-        known = _verify_cross_method(dexfile, methods)
         for method_id, method in enumerate(methods):
             key = method_node_key(
                 method, cto=config.cto_enabled, method_id=method_id
@@ -467,12 +450,6 @@ class BuildGraph:
             node_keys[method.name] = key
             entry = previous_bundle.get(key)
             if not _valid_method_entry(entry):
-                # Intra-method verification is content-keyed: an
-                # unchanged method passed it when its node was first
-                # built, so only moved nodes re-verify (the cross-file
-                # checks above always run — they depend on *other*
-                # methods and the string table).
-                verify_method(method, known_methods=known)
                 entry = self._compile_method(method, method_id, config, manager)
                 delta.methods_rebuilt += 1
             else:
@@ -497,7 +474,7 @@ class BuildGraph:
                 ir_instructions_before=before,
                 ir_instructions_after=after,
             ),
-            node_keys,
+            delta.methods_rebuilt,
         )
 
     @staticmethod
@@ -507,37 +484,12 @@ class BuildGraph:
         config: "CalibroConfig",
         manager: PassManager,
     ) -> tuple[CompiledMethod, ThunkCache | None, int, int]:
-        """Execute one method node exactly as whole-dex ``dex2oat``
-        would (same verify/passes/codegen), against its own thunk
-        cache."""
-        mini = ThunkCache() if config.cto_enabled else None
-        if method.is_native:
-            return compile_jni_stub(method, method_id, mini), mini, 0, 0
-        graph = build_hgraph(method)
-        stats = manager.run(graph)
-        return (
-            compile_graph(graph, method, mini),
-            mini,
-            stats.instructions_before,
-            stats.instructions_after,
-        )
-
-    def _compile_whole_dex(
-        self, dexfile: DexFile, config: "CalibroConfig", delta: GraphDelta
-    ) -> tuple[Dex2OatResult, str]:
-        """The ``config.inlining`` fallback: one dex node, all-or-
-        nothing.  The inliner resolves callees across method graphs, so
-        per-method splicing would compile against stale neighbors."""
-        key = dex_node_key(dexfile, config)
-        delta.methods_total = len(dexfile.all_methods())
-        cached = self.cache.lookup_object(key)
-        if isinstance(cached, Dex2OatResult):
-            delta.methods_reused = delta.methods_total
-            return cached, key
-        result = dex2oat(dexfile, cto=config.cto_enabled, inline=config.inlining)
-        self.cache.store_object(key, result)
-        delta.methods_rebuilt = delta.methods_total
-        return result, key
+        """Execute one method node with ``dex2oat``'s own per-method
+        step (:func:`~repro.compiler.driver.compile_method`), against
+        the node's own thunk cache."""
+        thunks = ThunkCache() if config.cto_enabled else None
+        compiled, before, after = compile_method(method, method_id, thunks, manager)
+        return compiled, thunks, before, after
 
     # -- the full delta build ------------------------------------------------
 
@@ -567,23 +519,30 @@ class BuildGraph:
                 previous = None
                 delta.full_rebuild = True
 
-            dex_key = ""
-            if config.inlining:
-                compile_result, dex_key = self._compile_whole_dex(
-                    dexfile, config, delta
-                )
-                method_keys: dict[str, str] = {}
-            else:
-                bundle_key = f"graph:artifacts:{self.state_key(label, config)}"
-                compile_result, method_keys = self._compile_incremental(
-                    dexfile, config, delta, bundle_key
-                )
+            method_keys: dict[str, str] = {}
+            dex_key = dex_node_key(dexfile, config) if config.inlining else ""
+            bundle_key = f"graph:artifacts:{self.state_key(label, config)}"
 
-            # LTBO + link through the one canonical pipeline: group
-            # nodes splice inside outline_partitioned (via the chunk
-            # cache), and the link node always re-executes.
+            def compile_step(dexfile: DexFile, config: "CalibroConfig"):
+                if not config.inlining:
+                    return self._compile_incremental(
+                        dexfile, config, delta, bundle_key, method_keys
+                    )
+                # The inliner resolves callees across method graphs, so
+                # per-method splicing would compile against stale
+                # neighbors: one all-or-nothing dex node instead.
+                result, compiled = compile_dex_node(self.cache, dex_key, dexfile, config)
+                delta.methods_total = len(dexfile.all_methods())
+                delta.methods_rebuilt = compiled
+                delta.methods_reused = delta.methods_total - compiled
+                return result, compiled
+
+            # Compile, LTBO and link through the one canonical pipeline,
+            # which times the compile step in build.dex2oat: group nodes
+            # splice inside outline_partitioned (via the chunk cache),
+            # and the link node always re-executes.
             build = build_app(
-                dexfile, config, compiled=compile_result, cache=self.cache, pool=pool
+                dexfile, config, compile_step=compile_step, cache=self.cache, pool=pool
             )
 
             group_keys: list[str] = list(build.ltbo.group_keys) if build.ltbo else []

@@ -26,7 +26,8 @@ order is exactly arrival order):
   starve the rest;
 * **cooperative cancellation** — a ``cancel`` op aborts a build that is
   still *queued* (it never runs); a running build is never killed
-  mid-flight (the pool's own timeout ladder covers stuck work).
+  mid-flight (the executor retries crashed workers, but the service
+  sets no timeout: a hung build holds its slot until it returns).
 
 Accepted builds stream ``progress`` events per pipeline phase (the
 ``phase_hook`` threaded through :meth:`BuildService.submit`) and finish
@@ -446,8 +447,7 @@ class AsyncBuildServer:
             return
         if state != "queued":
             # Cooperative contract: running (or finished) builds are
-            # never killed from the wire; the pool's timeout ladder owns
-            # stuck work.
+            # never killed from the wire.
             await send({
                 "event": "cancelled",
                 "id": request_id,

@@ -2,8 +2,9 @@
 
 The wire protocol module and the config dataclass are the sources of
 truth: every op, event, refusal reason and config field must appear
-(backticked) in docs/service.md, and the documented protocol version
-must match the code.
+(backticked) in docs/service.md, every row of the config table must
+name a current field, and the documented protocol version must match
+the code.
 """
 
 from __future__ import annotations
@@ -66,3 +67,14 @@ def test_every_service_config_field_is_documented():
     assert not missing, (
         f"ServiceConfig fields absent from docs/service.md: {missing}"
     )
+
+
+def test_every_documented_config_field_exists():
+    """The reverse direction: a field removed from ServiceConfig must
+    not linger as a row of the docs' config table."""
+    section = _doc_text().split("\n## ServiceConfig\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `([a-z0-9_]+)` \|", section, flags=re.MULTILINE)
+    assert rows, "no ServiceConfig table rows in docs/service.md"
+    fields = {f.name for f in dataclasses.fields(ServiceConfig)}
+    stale = sorted(set(rows) - fields)
+    assert not stale, f"docs/service.md documents removed ServiceConfig fields: {stale}"

@@ -29,12 +29,12 @@ def test_defaults_are_valid():
 
 @pytest.mark.parametrize("kwargs", [
     {"cache_max_bytes": -1},
-    {"cache_memory_entries": 0},
+    {"max_workers": -1},
     {"max_workers": 0},
     {"shards": 0},
-    {"group_timeout": 0.0},
-    {"group_timeout": -1.0},
-    {"shard_timeout": 0.0},
+    {"shards": -1},
+    {"max_workers": 4, "shards": 0},
+    {"max_workers": 0, "shards": 2},
     {"cache_max_bytes": 0},
 ])
 def test_bad_values_raise_config_error(kwargs):
@@ -69,6 +69,19 @@ def test_round_trip():
 def test_from_dict_rejects_unknown_keys():
     with pytest.raises(ConfigError, match="unknown"):
         ServiceConfig.from_dict({"schema_version": 1, "bogus": True})
+
+
+@pytest.mark.parametrize(
+    "name", ["cache_memory_entries", "group_timeout", "shard_timeout"]
+)
+def test_from_dict_rejects_removed_fields_as_unknown(name):
+    """v4 dropped three fields no caller set; a v3 document that still
+    carries one fails as an unknown key, never silently ignored."""
+    doc = ServiceConfig().to_dict()
+    doc["schema_version"] = 3
+    doc[name] = 1
+    with pytest.raises(ConfigError, match=f"unknown service config keys: {name}"):
+        ServiceConfig.from_dict(doc)
 
 
 def test_from_dict_rejects_newer_schema():

@@ -153,7 +153,27 @@ def test_service_stats_expose_shard_section(dexfile):
     with BuildService(ServiceConfig(shards=2)) as service:
         service.submit(dexfile, config)
         stats = service.stats()
-    assert stats["shard"]["width"] == 2
-    assert stats["shard"]["tasks"] == 4
-    # The in-process pool stayed idle: sharding replaced it.
-    assert stats["pool"]["tasks"] == 0
+    # The shard executor is the service's one executor: no idle pool
+    # beside it, and no separate section.
+    assert stats["pool"]["width"] == 2
+    assert stats["pool"]["tasks"] == 4
+    assert "shard" not in stats
+
+
+@pytest.mark.parametrize(
+    ("service_config", "expected"),
+    [(ServiceConfig(max_workers=1), 1), (ServiceConfig(shards=4), 4)],
+    ids=["pool-width-1", "shards-4"],
+)
+def test_plopti_jobs_records_the_executor_that_ran(
+    dexfile, monkeypatch, service_config, expected
+):
+    """The gauge reads the parallelism of the executor that ran the
+    groups, not the config's CPU-clamped ``jobs`` (2 here)."""
+    import repro.suffixtree.parallel as par
+
+    monkeypatch.setattr(par, "available_parallelism", lambda: 2)
+    config = CalibroConfig.cto_ltbo_plopti(groups=4)
+    with BuildService(service_config) as service, obs.tracing() as tracer:
+        service.submit(dexfile, config)
+    assert tracer.gauges["plopti.jobs"] == expected
