@@ -4,10 +4,14 @@ Every method is compiled independently (as in real dex2oat); the only
 cross-method state is the CTO thunk cache, which is exactly the paper's
 design — CTO works *during* per-method code generation against a shared
 label cache, and the thunk bodies join the link set afterwards.
-:func:`compile_method` is that per-method unit: ``dex2oat``'s codegen
-loop runs it against the shared cache, and the incremental build graph
-(:mod:`repro.service.graph`) runs it once per rebuilt method node
-against the node's own cache.
+:func:`compile_method` is that per-method unit: ``dex2oat`` runs it over
+round-robin chunks of the method table, in-process or on the
+process-wide group executor, each chunk against its own cache, and the
+incremental build graph (:mod:`repro.service.graph`) runs it once per
+rebuilt method node against the node's own cache.  Labels and bodies
+are pure functions of the pattern, so the merged caches
+(:meth:`~repro.core.patterns.ThunkCache.merge`) render the thunks one
+shared cache would.
 """
 
 from __future__ import annotations
@@ -18,12 +22,14 @@ from dataclasses import dataclass
 from repro import observability as obs
 from repro.compiler.codegen import compile_graph, compile_jni_stub
 from repro.compiler.compiled import CompiledMethod
+from repro.core.errors import ConfigError
 from repro.core.patterns import ThunkCache
 from repro.dex.method import DexFile, DexMethod
 from repro.dex.verifier import verify_dexfile
 from repro.hgraph.builder import build_hgraph
 from repro.hgraph.ir import HGraph
 from repro.hgraph.passes import PassManager
+from repro.suffixtree.parallel import clamp_jobs, round_robin_shards, shared_executor
 
 __all__ = ["Dex2OatResult", "compile_method", "dex2oat"]
 
@@ -56,8 +62,8 @@ def dex2oat(
     *,
     cto: bool = False,
     inline: bool = False,
-    pass_manager: PassManager | None = None,
     verify: bool = True,
+    jobs: int = 1,
 ) -> Dex2OatResult:
     """Compile a dex file to a set of relocatable method blobs.
 
@@ -66,38 +72,62 @@ def dex2oat(
     conservative small-method inliner before the per-method pipeline
     (the related-work interaction study; off by default, matching the
     paper's baseline configuration).
+
+    ``jobs`` is the compile width, clamped like PlOpti's
+    (:func:`~repro.suffixtree.parallel.clamp_jobs`, against the method
+    count).  Above one, the methods go out in round-robin chunks to the
+    process-wide :class:`~repro.suffixtree.parallel.GroupExecutor`, each
+    chunk against its own thunk cache, and the chunk caches merge into
+    one.  The inliner reads every graph before codegen, so
+    ``inline=True`` compiles at width 1.  The bytes do not depend on
+    the width.
     """
     from repro.hgraph.passes.inlining import inline_small_methods
 
+    if jobs < 1:
+        raise ConfigError("jobs must be >= 1")
     start = time.perf_counter()
     if verify:
         with obs.span("dex2oat.verify"):
             verify_dexfile(dexfile)
-    manager = pass_manager or PassManager()
-    cache = ThunkCache() if cto else None
-
     methods = dexfile.all_methods()
-    graphs: dict[str, HGraph] = {}
-    with obs.span("dex2oat.hgraph"):
-        for method in methods:
-            if not method.is_native:
-                graphs[method.name] = build_hgraph(method)
+    graphs: dict[str, HGraph] | None = None
     inlined_sites = 0
     if inline:
+        graphs = {}
+        with obs.span("dex2oat.hgraph"):
+            for method in methods:
+                if not method.is_native:
+                    graphs[method.name] = build_hgraph(method)
         with obs.span("dex2oat.inline"):
             for graph in graphs.values():
                 inlined_sites += inline_small_methods(graph, graphs.get)
 
-    compiled: list[CompiledMethod] = []
-    before = after = 0
+    width = 1 if inline else clamp_jobs(jobs, len(methods))
     with obs.span("dex2oat.codegen"):
-        for method_id, method in enumerate(methods):
-            method_compiled, ir_before, ir_after = compile_method(
-                method, method_id, cache, manager, graphs.get(method.name)
+        if width == 1:
+            payloads = [(cto, list(enumerate(methods)))]
+            outputs = [_compile_chunk(payloads[0], graphs)]
+        else:
+            payloads = [
+                (cto, [(i, methods[i]) for i in chunk])
+                for chunk in round_robin_shards(len(methods), width)
+            ]
+            outputs = shared_executor().run_chunks(
+                _compile_chunk, payloads, [[c] for c in range(width)]
             )
-            compiled.append(method_compiled)
-            before += ir_before
-            after += ir_after
+    compiled: list = [None] * len(methods)
+    cache = ThunkCache() if cto else None
+    before = after = 0
+    for (_cto, chunk), (chunk_compiled, chunk_cache, ir_before, ir_after) in zip(
+        payloads, outputs
+    ):
+        for (method_id, _method), method_compiled in zip(chunk, chunk_compiled):
+            compiled[method_id] = method_compiled
+        if cache is not None:
+            cache.merge(chunk_cache)
+        before += ir_before
+        after += ir_after
     if cache is not None:
         with obs.span("dex2oat.thunks"):
             thunks = cache.compiled_thunks()
@@ -115,6 +145,35 @@ def dex2oat(
         ir_instructions_after=after,
         inlined_sites=inlined_sites,
     )
+
+
+def _compile_chunk(
+    payload: tuple[bool, list[tuple[int, DexMethod]]],
+    graphs: dict[str, HGraph] | None = None,
+) -> tuple[list[CompiledMethod], ThunkCache | None, int, int]:
+    """Compile one chunk ``(cto, [(method_id, method), ...])`` against
+    its own thunk cache: the unit ``dex2oat`` runs in-process or sends
+    to an executor child (module-level, so the pool can pickle it).
+    ``graphs`` are the inliner's prebuilt HGraphs (in-process only).
+
+    Returns the compiled methods in chunk order, the chunk's thunk cache
+    (``None`` with CTO off) and the summed IR instruction counts before
+    and after the passes.
+    """
+    cto, methods = payload
+    thunks = ThunkCache() if cto else None
+    manager = PassManager()
+    compiled: list[CompiledMethod] = []
+    before = after = 0
+    for method_id, method in methods:
+        graph = graphs.get(method.name) if graphs is not None else None
+        method_compiled, ir_before, ir_after = compile_method(
+            method, method_id, thunks, manager, graph
+        )
+        compiled.append(method_compiled)
+        before += ir_before
+        after += ir_after
+    return compiled, thunks, before, after
 
 
 def compile_method(

@@ -33,6 +33,7 @@ construction an instruction the compiler emitted.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -100,13 +101,15 @@ class GroupSequence:
     spans: list[MethodSpan] = field(default_factory=list)
     #: Per-position outlinability (True = real instruction symbol).
     outlinable: list[bool] = field(default_factory=list)
+    #: ``span.start`` of every span for ``locate``, recomputed only when
+    #: the span count changes (``map_group`` only appends).
+    _starts: list[int] = field(default_factory=list, init=False, repr=False, compare=False)
 
     def locate(self, position: int) -> tuple[int, int]:
         """Map a group position to ``(method_index, byte_offset)``."""
-        import bisect
-
-        starts = [span.start for span in self.spans]
-        i = bisect.bisect_right(starts, position) - 1
+        if len(self._starts) != len(self.spans):
+            self._starts = [span.start for span in self.spans]
+        i = bisect.bisect_right(self._starts, position) - 1
         if i >= 0:
             span = self.spans[i]
             if span.start <= position < span.start + span.words:

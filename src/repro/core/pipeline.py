@@ -45,6 +45,7 @@ from repro.dex.method import DexFile
 from repro.oat.linker import link
 from repro.oat.oatfile import OatFile
 from repro.observability import Trace
+from repro.suffixtree import parallel as group_parallel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.merge import MergeResult
@@ -94,6 +95,11 @@ class CalibroConfig:
     inlining: bool = False
     #: Number of PlOpti partitions; 1 = one global index.
     parallel_groups: int = 1
+    #: Process budget of a library build, for the ``dex2oat`` method
+    #: chunks and for the PlOpti groups; both clamp to the usable CPUs.
+    #: ``None``: one job per PlOpti group, and a compile as wide as the
+    #: usable CPUs once the process-wide executor's workers run, in
+    #: process before.  No config's bytes depend on it.
     jobs: int | None = None
     hot_filter: HotFunctionFilter | None = None
     min_length: int = DEFAULT_MIN_LENGTH
@@ -351,8 +357,20 @@ def build_app(
 
 
 def _dex2oat(dexfile: DexFile, config: CalibroConfig) -> tuple[Dex2OatResult, int]:
-    """The default compile step: one uncached ``dex2oat`` run."""
-    result = dex2oat(dexfile, cto=config.cto_enabled, inline=config.inlining)
+    """The default compile step: one uncached ``dex2oat`` run, as wide
+    as ``config.jobs`` in every config.  Unset, the compile fans out
+    only onto workers that already run, so a one-shot build does not
+    pay their start-up in its compile; its PlOpti groups, if any,
+    start them in LTBO."""
+    jobs = config.jobs
+    if jobs is None:
+        # Looked up on their module, so a patched CPU count or executor
+        # applies here too.
+        running = group_parallel.shared_executor_running()
+        jobs = group_parallel.available_parallelism() if running else 1
+    result = dex2oat(
+        dexfile, cto=config.cto_enabled, inline=config.inlining, jobs=jobs
+    )
     return result, len(dexfile.all_methods())
 
 

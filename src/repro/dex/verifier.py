@@ -24,6 +24,29 @@ def _where(idx: int, instr: bc.Instruction) -> str:
     return f"instruction {idx} ({type(instr).__name__})"
 
 
+#: The register fields of each bytecode class, in check order.  The
+#: invokes' registers vary in number, so ``verify_method`` reads them
+#: itself.
+_REGISTER_FIELDS: dict[type, tuple[str, ...]] = {
+    bc.Const: ("dst",),
+    bc.ConstString: ("dst",),
+    bc.Move: ("dst", "src"),
+    bc.BinOp: ("dst", "lhs", "rhs"),
+    bc.BinOpLit: ("dst", "lhs"),
+    bc.If: ("lhs", "rhs"),
+    bc.IfZ: ("lhs",),
+    bc.PackedSwitch: ("value",),
+    bc.Return: ("src",),
+    bc.NewInstance: ("dst",),
+    bc.NewArray: ("dst", "size"),
+    bc.ArrayLength: ("dst", "array"),
+    bc.IGet: ("dst", "obj"),
+    bc.IPut: ("src", "obj"),
+    bc.AGet: ("dst", "array", "index"),
+    bc.APut: ("src", "array", "index"),
+}
+
+
 def verify_method(method: DexMethod, known_methods: Container[str] | None = None) -> None:
     """Check register ranges, branch targets, terminator placement and
     (optionally) that every invoked method exists."""
@@ -37,61 +60,37 @@ def verify_method(method: DexMethod, known_methods: Container[str] | None = None
     if not (last.is_branch and isinstance(last, (bc.Return, bc.ReturnVoid, bc.Goto))):
         raise VerificationError(f"{method.name}: control can fall off the end")
 
+    num_registers = method.num_registers
     for idx, instr in enumerate(code):
         for target in instr.branch_targets():
             if not 0 <= target < len(code):
                 raise VerificationError(f"{method.name}: branch target {target} out of range at {_where(idx, instr)}")
-        regs: list[int] = []
-        if isinstance(instr, (bc.Const, bc.ConstString)):
-            regs = [instr.dst]
-        elif isinstance(instr, bc.Move):
-            regs = [instr.dst, instr.src]
-        elif isinstance(instr, bc.BinOp):
-            regs = [instr.dst, instr.lhs, instr.rhs]
-        elif isinstance(instr, bc.BinOpLit):
-            regs = [instr.dst, instr.lhs]
-        elif isinstance(instr, bc.If):
-            regs = [instr.lhs, instr.rhs]
-        elif isinstance(instr, (bc.IfZ, bc.PackedSwitch)):
-            regs = [instr.lhs] if isinstance(instr, bc.IfZ) else [instr.value]
-        elif isinstance(instr, bc.Return):
-            regs = [instr.src]
-        elif isinstance(instr, bc.InvokeStatic):
+        kind = type(instr)
+        fields = _REGISTER_FIELDS.get(kind)
+        if fields is not None:
+            regs = [getattr(instr, name) for name in fields]
+        elif kind is bc.InvokeStatic:
             regs = list(instr.args) + ([instr.dst] if instr.dst is not None else [])
             if len(instr.args) > 6:
                 raise VerificationError(f"{method.name}: more than 6 call arguments at {_where(idx, instr)}")
-        elif isinstance(instr, bc.InvokeVirtual):
+        elif kind is bc.InvokeVirtual:
             regs = [instr.receiver] + list(instr.args)
             if instr.dst is not None:
                 regs.append(instr.dst)
             if len(instr.args) > 5:
                 raise VerificationError(f"{method.name}: more than 5 virtual call arguments at {_where(idx, instr)}")
-        elif isinstance(instr, bc.NewInstance):
-            regs = [instr.dst]
-        elif isinstance(instr, bc.NewArray):
-            regs = [instr.dst, instr.size]
-        elif isinstance(instr, bc.ArrayLength):
-            regs = [instr.dst, instr.array]
-        elif isinstance(instr, bc.IGet):
-            regs = [instr.dst, instr.obj]
-        elif isinstance(instr, bc.IPut):
-            regs = [instr.src, instr.obj]
-        elif isinstance(instr, bc.AGet):
-            regs = [instr.dst, instr.array, instr.index]
-        elif isinstance(instr, bc.APut):
-            regs = [instr.src, instr.array, instr.index]
+        else:
+            continue
         for reg in regs:
-            if not 0 <= reg < method.num_registers:
+            if not 0 <= reg < num_registers:
                 raise VerificationError(
                     f"{method.name}: register v{reg} out of range at "
-                    f"{_where(idx, instr)} (method declares {method.num_registers})"
+                    f"{_where(idx, instr)} (method declares {num_registers})"
                 )
-        if known_methods is not None and isinstance(
-            instr, (bc.InvokeStatic, bc.InvokeVirtual)
-        ):
-            if instr.method not in known_methods:
-                raise VerificationError(f"{method.name}: unknown callee {instr.method!r} at {_where(idx, instr)}")
-        if isinstance(instr, bc.Return) and not method.returns_value:
+        # Only an invoke gets here without a field table entry.
+        if fields is None and known_methods is not None and instr.method not in known_methods:
+            raise VerificationError(f"{method.name}: unknown callee {instr.method!r} at {_where(idx, instr)}")
+        if kind is bc.Return and not method.returns_value:
             raise VerificationError(f"{method.name}: value return in void method at {_where(idx, instr)}")
 
 
@@ -105,13 +104,14 @@ def verify_dexfile(dexfile: DexFile) -> None:
     for method in methods:
         verify_method(method, known_methods=by_name)
         for instr in method.code:
-            if isinstance(instr, bc.ConstString) and not (
+            kind = type(instr)
+            if kind is bc.ConstString and not (
                 0 <= instr.string_idx < len(dexfile.string_table)
             ):
                 raise VerificationError(
                     f"{method.name}: string index {instr.string_idx} out of range"
                 )
-            if isinstance(instr, (bc.InvokeStatic, bc.InvokeVirtual)):
+            if kind is bc.InvokeStatic or kind is bc.InvokeVirtual:
                 callee = by_name[instr.method]
                 expects = instr.dst is not None
                 if expects and not callee.returns_value and not callee.is_native:

@@ -12,7 +12,10 @@ a *chunk* of ``(group index, payload)`` pairs.  Every entry point that
 runs PlOpti groups is a chunking policy over it:
 
 * :func:`map_over_groups` (library builds) sends one round-robin chunk
-  per CPU-clamped job to a process-wide executor;
+  per CPU-clamped job to the process-wide executor
+  (:func:`shared_executor`), which a library build's ``dex2oat`` also
+  sends its round-robin method chunks to once its workers run
+  (:func:`shared_executor_running`);
 * :class:`repro.service.WorkerPool` sends chunks of one group;
 * :class:`repro.service.ShardExecutor` sends
   ``round_robin_shards(K, shards)`` chunks.
@@ -23,7 +26,9 @@ replaced by :meth:`GroupExecutor._restart`, released by
 into the children.  Children compute exactly what they are sent and
 never open a cache: the service's cache lookup happens in the
 supervisor, before dispatch.  A call that yields a single chunk runs
-it in-process — no processes, no pickling.  Either way the
+it in-process — no processes, no pickling — and so does every call
+made inside a daemonic process (a ``multiprocessing.Pool`` worker),
+which may not start children.  Either way the
 *partitioning* benefit survives: K small trees have a much smaller
 working set and far fewer candidate repeats than one global tree,
 which is the component of the paper's speedup that does not depend on
@@ -34,6 +39,7 @@ from __future__ import annotations
 
 import atexit
 import concurrent.futures
+import multiprocessing
 import os
 import random
 import time
@@ -53,6 +59,8 @@ __all__ = [
     "map_over_groups",
     "partition_evenly",
     "round_robin_shards",
+    "shared_executor",
+    "shared_executor_running",
 ]
 
 _T = TypeVar("_T")
@@ -119,7 +127,8 @@ class ExecutorStats:
 
     #: Worker processes the executor runs at most.
     width: int = 1
-    #: Groups routed through the executor.
+    #: Payloads routed through the executor: groups, or ``dex2oat``
+    #: method chunks.
     tasks: int = 0
     #: Chunks submitted to child processes (retries included).
     dispatches: int = 0
@@ -218,6 +227,12 @@ class GroupExecutor:
 
     # -- lifecycle ----------------------------------------------------------
 
+    @property
+    def running(self) -> bool:
+        """Whether the worker processes exist: from the first dispatch
+        until :meth:`close` or a restart."""
+        return self._executor is not None
+
     def close(self) -> None:
         if self._executor is not None:
             self._executor.shutdown()
@@ -274,8 +289,8 @@ class GroupExecutor:
         self.stats.tasks += len(payloads)
         obs.counter_add("service.pool.tasks", len(payloads))
         units = [[(index, payloads[index]) for index in chunk] for chunk in chunks]
-        if len(units) <= 1:
-            outcomes = [self._run_inline(worker, 0, unit) for unit in units]
+        if len(units) <= 1 or multiprocessing.current_process().daemon:
+            outcomes = [self._run_inline(worker, u, unit) for u, unit in enumerate(units)]
         else:
             with obs.span("service.pool.map", units=len(units), groups=len(payloads)):
                 futures = [
@@ -375,6 +390,24 @@ class GroupExecutor:
 _SHARED: GroupExecutor | None = None
 
 
+def shared_executor() -> GroupExecutor:
+    """The process-wide :class:`GroupExecutor` of library builds (PlOpti
+    groups and ``dex2oat`` method chunks): one worker per usable CPU,
+    created on first use and reused for the life of the process, so
+    repeated builds stop paying process start-up."""
+    global _SHARED
+    if _SHARED is None:
+        _SHARED = GroupExecutor(available_parallelism())
+        atexit.register(_SHARED.close)
+    return _SHARED
+
+
+def shared_executor_running() -> bool:
+    """Whether the :func:`shared_executor`'s workers already run, so a
+    dispatch to them pays no process start-up."""
+    return _SHARED is not None and _SHARED.running
+
+
 def map_over_groups(
     worker: Callable[[_T], _R],
     groups: Sequence[_T],
@@ -384,17 +417,11 @@ def map_over_groups(
 
     ``jobs`` is clamped to the group count and the usable CPUs
     (:func:`clamp_jobs`); the groups go out as one round-robin chunk
-    per job to a process-wide :class:`GroupExecutor`, created on first
-    use and reused for the life of the process, so repeated builds stop
-    paying process start-up.  One job runs in-process.  ``worker`` must
-    be a module-level function (picklability) when ``jobs > 1``.
-    Results are returned in group order.
+    per job to the :func:`shared_executor`.  One job runs in-process.
+    ``worker`` must be a module-level function (picklability) when
+    ``jobs > 1``.  Results are returned in group order.
     """
-    global _SHARED
     if jobs < 1:
         raise ConfigError("jobs must be >= 1")
-    if _SHARED is None:
-        _SHARED = GroupExecutor(available_parallelism())
-        atexit.register(_SHARED.close)
     chunks = round_robin_shards(len(groups), clamp_jobs(jobs, len(groups)))
-    return _SHARED.run_chunks(worker, groups, chunks)
+    return shared_executor().run_chunks(worker, groups, chunks)

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
+import multiprocessing
+from dataclasses import replace
+
 import pytest
 
 import repro.suffixtree.parallel as par
+from repro.core import CalibroConfig, build_app
 from repro.suffixtree import available_parallelism, map_over_groups, partition_evenly
 
 
@@ -100,3 +105,19 @@ def test_every_entry_point_runs_both_paths(monkeypatch, entry, width):
     assert forked == (width > 1)
     assert executor.stats.tasks == len(payloads)
     assert executor.stats.serial_fallbacks == 0
+
+
+def _plopti_digest(dexfile, jobs=None) -> str:
+    config = replace(CalibroConfig.cto_ltbo_plopti(8), jobs=jobs)
+    return hashlib.sha256(build_app(dexfile, config).oat.to_bytes()).hexdigest()
+
+
+def test_builds_inside_daemonic_processes_run_in_process(monkeypatch, small_app):
+    """A ``multiprocessing.Pool`` worker is daemonic and may not start
+    children, so a default-``jobs`` build there runs every compile chunk
+    and group in-process, and makes the in-process bytes."""
+    monkeypatch.setattr(par, "available_parallelism", lambda: 2)
+    expected = _plopti_digest(small_app.dexfile, jobs=1)
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        digest = pool.apply_async(_plopti_digest, (small_app.dexfile,))
+        assert digest.get(timeout=120) == expected
