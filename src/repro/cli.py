@@ -238,8 +238,8 @@ def _cmd_build(args) -> int:
     config = _build_config(args)
     if args.incremental and not args.cache_dir:
         raise ConfigError(
-            "--incremental requires --cache-dir (the graph state and "
-            "outlined-chunk store live there)"
+            "--incremental requires --cache-dir (each app's previous "
+            "build and the outlined chunks live in that cache)"
         )
     label = args.label or _input_label(args.input)
     if args.cache_dir:
@@ -888,9 +888,10 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="delta build via the keyed dependency graph — only "
                         "changed nodes re-execute (requires --cache-dir)")
     p.add_argument("--label",
-                   help="app label for the graph state and ledger (default: "
-                        "the input basename) — keep it fixed across versions "
-                        "of one app so delta builds find the prior state")
+                   help="app label for the incremental record and ledger "
+                        "(default: the input basename) — keep it fixed across "
+                        "versions of one app so delta builds find the "
+                        "previous build")
     p.add_argument("--json", action="store_true",
                    help="print the versioned build summary as JSON")
     p.add_argument("--ledger", metavar="LEDGER.jsonl",

@@ -8,8 +8,9 @@ label cache, and the thunk bodies join the link set afterwards.
 round-robin chunks of the method table, in-process or on the
 process-wide group executor, each chunk against its own cache, and the
 incremental build graph (:mod:`repro.service.graph`) runs it once per
-rebuilt method node against the node's own cache.  Labels and bodies
-are pure functions of the pattern, so the merged caches
+rebuilt method node against the node's own cache; both assemble their
+units with :func:`assemble_result`.  Labels and bodies are pure
+functions of the pattern, so the merged caches
 (:meth:`~repro.core.patterns.ThunkCache.merge`) render the thunks one
 shared cache would.
 """
@@ -31,7 +32,7 @@ from repro.hgraph.ir import HGraph
 from repro.hgraph.passes import PassManager
 from repro.suffixtree.parallel import clamp_jobs, round_robin_shards, shared_executor
 
-__all__ = ["Dex2OatResult", "compile_method", "dex2oat"]
+__all__ = ["Dex2OatResult", "assemble_result", "compile_method", "dex2oat"]
 
 
 @dataclass
@@ -117,32 +118,56 @@ def dex2oat(
                 _compile_chunk, payloads, [[c] for c in range(width)]
             )
     compiled: list = [None] * len(methods)
-    cache = ThunkCache() if cto else None
-    before = after = 0
-    for (_cto, chunk), (chunk_compiled, chunk_cache, ir_before, ir_after) in zip(
-        payloads, outputs
-    ):
+    for (_cto, chunk), (chunk_compiled, *_) in zip(payloads, outputs):
         for (method_id, _method), method_compiled in zip(chunk, chunk_compiled):
             compiled[method_id] = method_compiled
-        if cache is not None:
-            cache.merge(chunk_cache)
-        before += ir_before
-        after += ir_after
+    return assemble_result(
+        methods, compiled, outputs, cto=cto, start=start, inlined_sites=inlined_sites
+    )
+
+
+def assemble_result(
+    methods: list[DexMethod],
+    compiled: list[CompiledMethod],
+    units: list[tuple[object, ThunkCache | None, int, int]],
+    *,
+    cto: bool,
+    start: float,
+    inlined_sites: int = 0,
+) -> Dex2OatResult:
+    """dex2oat's assembly tail, shared with the incremental build graph.
+
+    ``compiled`` holds one compiled method per entry of ``methods``, in
+    method order.  ``units`` are the outputs of the units that compiled
+    them (dex2oat's chunks, the graph's method nodes): ``(compiled,
+    thunk cache or None, IR instructions before, after)``.  With ``cto``
+    on, the unit caches merge into one, whose thunks render inside
+    ``dex2oat.thunks``.  The ``cto.*`` and ``dex2oat.*`` counters
+    describe the assembled result, units spliced from a cache included.
+    ``start`` is the ``perf_counter`` reading the compile began at.
+    """
+    cache = ThunkCache() if cto else None
+    ir_before = ir_after = 0
+    for _compiled, unit_cache, unit_before, unit_after in units:
+        ir_before += unit_before
+        ir_after += unit_after
+        if cache is not None and unit_cache is not None:
+            cache.merge(unit_cache)
     if cache is not None:
         with obs.span("dex2oat.thunks"):
             thunks = cache.compiled_thunks()
-        compiled.extend(thunks)
+        compiled = compiled + thunks
         _flush_cto_counters(cache, thunks)
     obs.counter_add("dex2oat.methods", len(methods))
     obs.counter_add("dex2oat.native_stubs", sum(m.is_native for m in methods))
-    obs.counter_add("dex2oat.ir_instructions_removed", before - after)
+    obs.counter_add("dex2oat.ir_instructions_removed", ir_before - ir_after)
     obs.counter_add("dex2oat.inlined_sites", inlined_sites)
     return Dex2OatResult(
         methods=compiled,
         cto=cache,
         compile_seconds=time.perf_counter() - start,
-        ir_instructions_before=before,
-        ir_instructions_after=after,
+        ir_instructions_before=ir_before,
+        ir_instructions_after=ir_after,
         inlined_sites=inlined_sites,
     )
 

@@ -14,6 +14,7 @@ so existing ``except ValueError`` callers keep working.
 | :class:`OutlineError` | LTBO invariant violations (bad metadata, overlap) | 3 |
 | :class:`LinkError` | unresolvable symbol, bad relocation, StackMap drift | 4 |
 | :class:`ServiceError` | build-service failures (pool, cache, batch) | 5 |
+| :class:`~repro.dex.verifier.VerificationError` | a dex method that fails verification (register, branch, callee, string checks) | 1 |
 """
 
 from __future__ import annotations

@@ -63,8 +63,6 @@ class ParallelOutlineResult:
     rewritten: dict[int, CompiledMethod]
     outlined: list[CompiledMethod]
     group_stats: list[OutlineStats] = field(default_factory=list)
-    #: Number of groups served from the outline cache (0 without one).
-    cached_groups: int = 0
     #: Content key per group (``OutlineCache.group_key`` order-aligned
     #: with ``group_stats``); empty when no cache was supplied.  The
     #: build dependency graph (:mod:`repro.service.graph`) records these
@@ -73,6 +71,11 @@ class ParallelOutlineResult:
     #: Indices of the groups served from the cache (subset of
     #: ``range(len(group_stats))``; empty without a cache).
     cached_indices: list[int] = field(default_factory=list)
+
+    @property
+    def cached_groups(self) -> int:
+        """Number of groups served from the outline cache (0 without one)."""
+        return len(self.cached_indices)
 
     @property
     def total_occurrences(self) -> int:
@@ -172,7 +175,6 @@ def outline_partitioned(
     combined = ParallelOutlineResult(
         rewritten={},
         outlined=[],
-        cached_groups=len(payloads) - len(misses),
         group_keys=keys,
         cached_indices=[i for i in range(len(payloads)) if i not in miss_set],
     )

@@ -9,14 +9,15 @@ from __future__ import annotations
 
 from typing import Container
 
+from repro.core.errors import CalibroError
 from repro.dex import bytecode as bc
 from repro.dex.method import DexFile, DexMethod
 
 __all__ = ["VerificationError", "verify_dexfile", "verify_method"]
 
 
-class VerificationError(ValueError):
-    """A method violates a structural invariant."""
+class VerificationError(CalibroError, ValueError):
+    """A method violates a structural invariant (CLI exit code 1)."""
 
 
 def _where(idx: int, instr: bc.Instruction) -> str:

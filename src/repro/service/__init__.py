@@ -26,12 +26,7 @@ from repro.service.cache import DEFAULT_MAX_BYTES, CacheStats, OutlineCache
 from repro.service.client import BuildResult, CalibroClient, PendingBuild
 from repro.service.config import SERVICE_CONFIG_SCHEMA_VERSION, ServiceConfig
 from repro.service.faults import FaultPlan, armed
-from repro.service.graph import (
-    GRAPH_SCHEMA_VERSION,
-    BuildGraph,
-    GraphDelta,
-    GraphState,
-)
+from repro.service.graph import BuildGraph, GraphDelta
 from repro.service.pool import WorkerPool
 from repro.service.protocol import (
     PROTOCOL_VERSION,
@@ -54,9 +49,7 @@ __all__ = [
     "CalibroClient",
     "DEFAULT_MAX_BYTES",
     "FaultPlan",
-    "GRAPH_SCHEMA_VERSION",
     "GraphDelta",
-    "GraphState",
     "OutlineCache",
     "OverloadedError",
     "PROTOCOL_VERSION",

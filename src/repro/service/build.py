@@ -81,14 +81,25 @@ class BuildReport:
     build: CalibroBuild
     #: Wall seconds inside the service (compile-cache lookup included).
     seconds: float
-    #: dex2oat was skipped — the compile cache had this exact dex+flags.
-    compile_cached: bool
-    #: PlOpti groups served from the outline cache / total groups.
-    cached_groups: int
-    total_groups: int
     #: Delta accounting when the service ran incrementally
     #: (``ServiceConfig(incremental=True)``); ``None`` otherwise.
     graph: GraphDelta | None = None
+
+    @property
+    def compile_cached(self) -> bool:
+        """No method compiled in this build: the compile cache had this
+        exact dex+flags, or every method node spliced."""
+        return self.build.methods_compiled == 0
+
+    @property
+    def cached_groups(self) -> int:
+        """PlOpti groups served from the outline cache."""
+        return self.build.ltbo.cached_groups if self.build.ltbo else 0
+
+    @property
+    def total_groups(self) -> int:
+        """PlOpti groups in this build."""
+        return len(self.build.ltbo.group_stats) if self.build.ltbo else 0
 
     def summary(self) -> dict[str, object]:
         """The build's versioned summary plus the service fields
@@ -151,18 +162,9 @@ class BuildService:
         )
         # incremental=True routes every submit through the keyed build
         # dependency graph (repro.service.graph): per-node reuse instead
-        # of the all-or-nothing whole-dex compile cache.  Graph state
-        # persists next to the cache when one is on disk.
-        self.graph = (
-            BuildGraph(
-                self.cache,
-                self.cache.directory / "graph"
-                if self.cache.directory is not None
-                else None,
-            )
-            if self.config.incremental
-            else None
-        )
+        # of the all-or-nothing whole-dex compile cache.  Each app's
+        # previous build is a record in this same cache.
+        self.graph = BuildGraph(self.cache) if self.config.incremental else None
         # shards >= 2 dispatches one round-robin chunk per shard process
         # (repro.service.shard) instead of one group per chunk — coarser
         # dispatch units, byte-identical output.
@@ -298,15 +300,7 @@ class BuildService:
                 )
             )
         self.flush_metrics()
-        return BuildReport(
-            label=label,
-            build=build,
-            seconds=seconds,
-            compile_cached=build.methods_compiled == 0,
-            cached_groups=build.ltbo.cached_groups if build.ltbo else 0,
-            total_groups=len(build.ltbo.group_stats) if build.ltbo else 0,
-            graph=graph_delta,
-        )
+        return BuildReport(label=label, build=build, seconds=seconds, graph=graph_delta)
 
     def build_many(self, requests: list[BuildRequest]) -> list[BuildReport]:
         """Build a batch, in order, sharing pool and caches throughout."""

@@ -129,19 +129,6 @@ def _stale_tmp_cutoff() -> float:
     return time.time() - _TMP_MAX_AGE_SECONDS
 
 
-def sweep_stale_stage_files(directory: Path, pattern: str) -> None:
-    """Delete the stage files under *directory* matching *pattern* that
-    crashed writers abandoned.  Only stale ones go: a live writer's
-    in-flight stage file is seconds old, an orphan is minutes old."""
-    cutoff = _stale_tmp_cutoff()
-    for path in directory.glob(pattern):
-        try:
-            if path.stat().st_mtime < cutoff:
-                path.unlink()
-        except OSError:
-            continue  # a concurrent sweeper (or the writer) got it
-
-
 def _hash_int(h, value: int) -> None:
     h.update(value.to_bytes(8, "little", signed=True))
 

@@ -22,9 +22,8 @@ Node kinds and their keys:
   CTO thunk labels are content-deterministic — per-method thunk caches
   merge into exactly the shared cache a whole-dex run builds
   (:meth:`~repro.core.patterns.ThunkCache.merge`).  Artifacts live in
-  one **bundle** object per (label, config) slot (key →
-  compiled-method entry), so a delta build costs one store read and at
-  most one write, not one per method.
+  the slot's record (below), so a delta build costs one store read and
+  at most one write, not one per method.
 * **dex** — the whole-dex compile, used instead of method nodes when
   ``config.inlining`` is on (the inliner resolves callees across
   method graphs, so per-method reuse would be unsound).  Key:
@@ -45,13 +44,14 @@ Node kinds and their keys:
 * **link** — always re-executes (it is cheap and depends on every
   text/data byte).
 
-The previous build's node keys persist as a :class:`GraphState` JSON
-document next to the cache, under a **versioned schema**: a corrupt or
-torn state file falls back to full-rebuild *accounting* (never a wrong
-build — correctness comes from the content keys, not the state), while
-a parseable state from a *newer* schema raises
-:class:`~repro.core.errors.ServiceError` so mixed-version fleets fail
-loudly instead of silently mis-counting.
+The previous build is remembered as one **record** per (label, config)
+slot, an object in the same cache: its method artifacts keyed by
+method node key, and its group, dex and merge node keys.  A build reads
+the record once, diffs against it, and stores the new one at most
+once.  A slot with no record (a first build, or a record the cache
+evicted, healed or rejected by format) is a full rebuild; that changes
+how much work runs, never the bytes, because correctness comes from
+the content keys.
 
 ``docs/incremental.md`` specifies the rebuild model and documents the
 ``service.graph.*`` metrics this module records.
@@ -61,45 +61,36 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import time
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 from repro import observability as obs
 from repro.compiler.compiled import CompiledMethod
-from repro.compiler.driver import Dex2OatResult, compile_method, dex2oat
-from repro.core.errors import ServiceError
+from repro.compiler.driver import (
+    Dex2OatResult,
+    assemble_result,
+    compile_method,
+    dex2oat,
+)
 from repro.core.patterns import ThunkCache
 from repro.dex.method import DexFile, DexMethod
 from repro.dex.serialize import dexfile_to_json
 from repro.dex.verifier import verify_dexfile
 from repro.hgraph.passes import PassManager
-from repro.service.cache import publish_atomically, sweep_stale_stage_files
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.pipeline import CalibroBuild, CalibroConfig
     from repro.service.cache import OutlineCache
 
 __all__ = [
-    "GRAPH_SCHEMA_VERSION",
     "BuildGraph",
     "GraphDelta",
-    "GraphState",
     "compile_dex_node",
     "config_fingerprint",
     "dex_node_key",
     "method_node_key",
 ]
-
-#: Version of the persisted :class:`GraphState` document.  Bump on any
-#: key addition, removal or meaning change; loaders refuse newer
-#: versions (:class:`ServiceError`) and treat corrupt files as absent.
-#: v2 added ``merge_key`` (the global-function-merging node); v1 states
-#: still load — the key defaults to absent, so the merge node counts as
-#: added on the first merging build.
-GRAPH_SCHEMA_VERSION = 2
 
 #: Key-derivation version for method nodes — bump when codegen, the
 #: pass pipeline or the stored entry shape changes.
@@ -187,68 +178,6 @@ def compile_dex_node(
 
 
 @dataclass
-class GraphState:
-    """The node keys of one finished build — what the *next* build
-    diffs against to count reused/rebuilt/added/removed nodes."""
-
-    #: :func:`config_fingerprint` of the build's config; a state from a
-    #: different config is unusable for delta accounting.
-    config_key: str
-    #: Method name → method node key, in method-table order.
-    methods: dict[str, str] = field(default_factory=dict)
-    #: Group (chunk) node keys, partition order.
-    groups: list[str] = field(default_factory=list)
-    #: Whole-dex compile node key (the ``config.inlining`` fallback).
-    dex_key: str = ""
-    #: Merge node key (:func:`repro.core.merge.merge_node_key`); empty
-    #: when the config runs no merge pass.
-    merge_key: str = ""
-    schema_version: int = GRAPH_SCHEMA_VERSION
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "schema_version": self.schema_version,
-            "config_key": self.config_key,
-            "methods": dict(self.methods),
-            "groups": list(self.groups),
-            "dex_key": self.dex_key,
-            "merge_key": self.merge_key,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "GraphState":
-        """Parse a persisted state document.
-
-        A newer ``schema_version`` raises :class:`ServiceError` (the
-        one *hard* failure — silently reinterpreting a future schema
-        could mis-count deltas fleet-wide).  Structural damage raises
-        ``ValueError`` for the loader to treat as corruption.
-        """
-        if not isinstance(data, dict):
-            raise ValueError("graph state must be a mapping")
-        version = data.get("schema_version")
-        if not isinstance(version, int) or version < 1:
-            raise ValueError(f"invalid graph state schema_version: {version!r}")
-        if version > GRAPH_SCHEMA_VERSION:
-            raise ServiceError(
-                f"graph state version {version} is newer than this build "
-                f"understands (max {GRAPH_SCHEMA_VERSION})"
-            )
-        methods = data.get("methods")
-        groups = data.get("groups")
-        if not isinstance(methods, dict) or not isinstance(groups, list):
-            raise ValueError("graph state is structurally damaged")
-        return cls(
-            config_key=str(data.get("config_key", "")),
-            methods={str(k): str(v) for k, v in methods.items()},
-            groups=[str(g) for g in groups],
-            dex_key=str(data.get("dex_key", "")),
-            merge_key=str(data.get("merge_key", "")),
-            schema_version=version,
-        )
-
-
-@dataclass
 class GraphDelta:
     """What one incremental build reused versus re-executed.
 
@@ -257,11 +186,9 @@ class GraphDelta:
     ``docs/incremental.md``.
     """
 
-    #: No usable prior state (first build, corrupt/missing state file,
-    #: or the config moved) — every node counts as rebuilt-or-new.
+    #: The slot had no record in the cache (a first build, or a record
+    #: evicted, healed or of another format) — every node counts as new.
     full_rebuild: bool = False
-    #: The persisted state file existed but could not be parsed.
-    state_corrupt: bool = False
     methods_total: int = 0
     #: Method nodes spliced from the content-addressed store.
     methods_reused: int = 0
@@ -276,11 +203,12 @@ class GraphDelta:
     #: 1 when the merge plan was spliced from the cache.
     merge_reused: int = 0
     merge_rebuilt: int = 0
-    #: Node keys present now but absent from the prior state.
+    #: Node keys present now but absent from the slot's record.
     nodes_added: int = 0
-    #: Prior-state node keys no longer present.
+    #: The record's node keys no longer present.
     nodes_removed: int = 0
-    #: Wall seconds of the delta build (graph walk + splices + rework).
+    #: Wall seconds of the delta build (record lookup, graph walk,
+    #: splices, rework and record store).
     seconds: float = 0.0
 
     @property
@@ -300,7 +228,6 @@ class GraphDelta:
     def as_dict(self) -> dict[str, Any]:
         return {
             "full_rebuild": self.full_rebuild,
-            "state_corrupt": self.state_corrupt,
             "nodes_total": self.nodes_total,
             "nodes_reused": self.nodes_reused,
             "nodes_rebuilt": self.nodes_rebuilt,
@@ -332,81 +259,47 @@ def _valid_method_entry(entry: Any) -> bool:
     )
 
 
+def _valid_record(record: Any) -> bool:
+    """Shape-check a cached slot record, ``(artifacts, group_keys,
+    dex_key, merge_key)``: method node key → method-node artifact, the
+    group node keys in partition order, and the dex and merge node keys
+    (``""`` when the config has no such node).  Any other shape (the
+    bare artifact bundle older builds stored under the same key
+    included) reads as absent: a full rebuild, never a mis-assembly."""
+    return (
+        isinstance(record, tuple)
+        and len(record) == 4
+        and isinstance(record[0], dict)
+        and isinstance(record[1], tuple)
+        and all(isinstance(key, str) for key in record[1])
+        and isinstance(record[2], str)
+        and isinstance(record[3], str)
+    )
+
+
+def _node_keys(record: tuple) -> set[str]:
+    artifacts, group_keys, dex_key, merge_key = record
+    return {*artifacts, *group_keys, dex_key, merge_key} - {""}
+
+
 class BuildGraph:
-    """The incremental build planner/executor for one service.
+    """The incremental build planner/executor for one service: drives
+    delta builds against the shared
+    :class:`~repro.service.cache.OutlineCache`, which also holds each
+    (label, config) slot's record."""
 
-    Owns the persisted per-(label, config) :class:`GraphState`
-    documents (under ``<cache_dir>/graph/`` when the cache is on disk,
-    in memory otherwise) and drives delta builds against the shared
-    :class:`~repro.service.cache.OutlineCache`.
-    """
-
-    def __init__(self, cache: "OutlineCache", state_dir: str | os.PathLike | None):
+    def __init__(self, cache: "OutlineCache"):
         self.cache = cache
-        self.state_dir = Path(state_dir) if state_dir is not None else None
-        self._memory_states: dict[str, GraphState] = {}
-        if self.state_dir is not None:
-            try:
-                self.state_dir.mkdir(parents=True, exist_ok=True)
-            except OSError as exc:
-                raise ServiceError(f"unusable graph state directory: {exc}") from exc
-            sweep_stale_stage_files(self.state_dir, "*.tmp")
-
-    # -- state persistence ---------------------------------------------------
 
     @staticmethod
-    def state_key(label: str, config: "CalibroConfig") -> str:
-        """One state slot per (app label, config fingerprint)."""
+    def record_key(label: str, config: "CalibroConfig") -> str:
+        """The cache key of the record of one slot: one per (app label,
+        config fingerprint)."""
         h = hashlib.sha256()
         h.update(label.encode("utf-8"))
         h.update(b"\x00")
         h.update(config_fingerprint(config).encode("utf-8"))
-        return h.hexdigest()
-
-    def _state_path(self, key: str) -> Path:
-        assert self.state_dir is not None
-        return self.state_dir / f"{key}.json"
-
-    def load_state(
-        self, label: str, config: "CalibroConfig", delta: GraphDelta
-    ) -> GraphState | None:
-        """The previous build's state, or ``None`` (with the delta's
-        corruption flag set when the file existed but was damaged)."""
-        key = self.state_key(label, config)
-        if self.state_dir is None:
-            return self._memory_states.get(key)
-        path = self._state_path(key)
-        try:
-            raw = path.read_text(encoding="utf-8")
-        except FileNotFoundError:
-            return None
-        except OSError:
-            delta.state_corrupt = True
-            return None
-        try:
-            state = GraphState.from_dict(json.loads(raw))
-        except ServiceError:
-            raise  # newer schema: the hard error, never a silent fallback
-        except (ValueError, TypeError):
-            # Torn write or corruption: fall back to full-rebuild
-            # accounting (content keys keep the build itself correct).
-            delta.state_corrupt = True
-            path.unlink(missing_ok=True)
-            return None
-        return state
-
-    def save_state(self, label: str, config: "CalibroConfig", state: GraphState) -> None:
-        key = self.state_key(label, config)
-        if self.state_dir is None:
-            self._memory_states[key] = state
-            return
-        # Two builds of one (label, config) slot may finish together —
-        # front-door threads or separate processes — so each stages
-        # under its own name before the atomic publish.
-        publish_atomically(
-            self._state_path(key),
-            json.dumps(state.to_dict(), sort_keys=True).encode("utf-8"),
-        )
+        return f"graph:artifacts:{h.hexdigest()}"
 
     # -- the compile layer (method / dex nodes) ------------------------------
 
@@ -415,67 +308,48 @@ class BuildGraph:
         dexfile: DexFile,
         config: "CalibroConfig",
         delta: GraphDelta,
-        bundle_key: str,
-        node_keys: dict[str, str],
+        previous: dict[str, tuple],
+        artifacts: dict[str, tuple],
     ) -> tuple[Dex2OatResult, int]:
         """Assemble a :class:`Dex2OatResult` from per-method nodes,
-        filling ``node_keys`` (method name → node key); returns it with
-        the number of methods recompiled.
+        filling ``artifacts`` (method node key → artifact) for the next
+        record; returns it with the number of methods recompiled.
 
         The whole file verifies first, as in ``dex2oat``.  Reused nodes
-        come from the previous build's **artifact bundle** — one cache
-        object per (label, config) slot mapping method node key to
-        compiled artifact, so a delta costs one store read/write
-        instead of one per method.  Moved (or missing/damaged) nodes
-        recompile with a *fresh per-method* thunk cache, and every
-        per-method cache merges into one shared cache whose sorted
-        thunk union is byte-identical to a whole-dex run's.
+        come from ``previous``, the record's artifacts.  Moved (or
+        missing/damaged) nodes recompile with a *fresh per-method* thunk
+        cache, and dex2oat's own assembly tail merges every per-method
+        cache into one shared cache whose sorted thunk union is
+        byte-identical to a whole-dex run's.
         """
         start = time.perf_counter()
         with obs.span("dex2oat.verify"):
             verify_dexfile(dexfile)
         methods = dexfile.all_methods()
-        merged = ThunkCache() if config.cto_enabled else None
         manager = PassManager()
-        compiled: list[CompiledMethod] = []
-        previous_bundle = self.cache.lookup_object(bundle_key)
-        if not isinstance(previous_bundle, dict):
-            previous_bundle = {}  # absent, torn or polluted: rebuild below
-        bundle: dict[str, tuple] = {}
-        before = after = 0
-        for method_id, method in enumerate(methods):
-            key = method_node_key(
-                method, cto=config.cto_enabled, method_id=method_id
-            )
-            node_keys[method.name] = key
-            entry = previous_bundle.get(key)
-            if not _valid_method_entry(entry):
-                entry = self._compile_method(method, method_id, config, manager)
-                delta.methods_rebuilt += 1
-            else:
-                delta.methods_reused += 1
-            bundle[key] = entry
-            method_compiled, mini_thunks, ir_before, ir_after = entry
-            compiled.append(method_compiled)
-            before += ir_before
-            after += ir_after
-            if merged is not None and mini_thunks is not None:
-                merged.merge(mini_thunks)
-        if bundle.keys() != previous_bundle.keys() or delta.methods_rebuilt:
-            self.cache.store_object(bundle_key, bundle)
-        if merged is not None:
-            compiled.extend(merged.compiled_thunks())
+        entries: list[tuple] = []
+        with obs.span("dex2oat.codegen"):
+            for method_id, method in enumerate(methods):
+                key = method_node_key(
+                    method, cto=config.cto_enabled, method_id=method_id
+                )
+                entry = previous.get(key)
+                if not _valid_method_entry(entry):
+                    entry = self._compile_method(method, method_id, config, manager)
+                    delta.methods_rebuilt += 1
+                else:
+                    delta.methods_reused += 1
+                artifacts[key] = entry
+                entries.append(entry)
         delta.methods_total = len(methods)
-        return (
-            Dex2OatResult(
-                methods=compiled,
-                cto=merged,
-                compile_seconds=time.perf_counter() - start,
-                ir_instructions_before=before,
-                ir_instructions_after=after,
-            ),
-            delta.methods_rebuilt,
+        result = assemble_result(
+            methods,
+            [entry[0] for entry in entries],
+            entries,
+            cto=config.cto_enabled,
+            start=start,
         )
+        return result, delta.methods_rebuilt
 
     @staticmethod
     def _compile_method(
@@ -501,8 +375,9 @@ class BuildGraph:
         label: str = "",
         pool=None,
     ) -> tuple["CalibroBuild", GraphDelta]:
-        """One incremental build: splice unchanged nodes, re-execute the
-        rest, re-link, and persist the new node keys.
+        """One incremental build: look up the slot's record, splice
+        unchanged nodes, re-execute the rest, re-link, and store the new
+        record when a node key moved or a node was rebuilt.
 
         The output is **byte-identical** to ``build_app(dexfile,
         config)`` from scratch — the delta only changes *how much work*
@@ -514,19 +389,19 @@ class BuildGraph:
         delta = GraphDelta()
         start = time.perf_counter()
         with obs.span("service.graph.build", label=label, config=config.name):
-            previous = self.load_state(label, config, delta)
-            if previous is None or previous.config_key != config_fingerprint(config):
-                previous = None
+            key = self.record_key(label, config)
+            record = self.cache.lookup_object(key)
+            if not _valid_record(record):
+                record = None
                 delta.full_rebuild = True
-
-            method_keys: dict[str, str] = {}
+            previous = record[0] if record is not None else {}
+            artifacts: dict[str, tuple] = {}
             dex_key = dex_node_key(dexfile, config) if config.inlining else ""
-            bundle_key = f"graph:artifacts:{self.state_key(label, config)}"
 
             def compile_step(dexfile: DexFile, config: "CalibroConfig"):
                 if not config.inlining:
                     return self._compile_incremental(
-                        dexfile, config, delta, bundle_key, method_keys
+                        dexfile, config, delta, previous, artifacts
                     )
                 # The inliner resolves callees across method graphs, so
                 # per-method splicing would compile against stale
@@ -545,44 +420,27 @@ class BuildGraph:
                 dexfile, config, compile_step=compile_step, cache=self.cache, pool=pool
             )
 
-            group_keys: list[str] = list(build.ltbo.group_keys) if build.ltbo else []
             if build.ltbo is not None:
                 delta.groups_total = len(build.ltbo.group_stats)
-                delta.groups_reused = len(build.ltbo.cached_indices)
+                delta.groups_reused = build.ltbo.cached_groups
                 delta.groups_rebuilt = delta.groups_total - delta.groups_reused
-
-            merge_key = build.merge.node_key if build.merge is not None else ""
             if build.merge is not None:
                 delta.merge_total = 1
                 delta.merge_reused = 1 if build.merge.spliced else 0
                 delta.merge_rebuilt = 1 - delta.merge_reused
 
-            new_keys = set(method_keys.values()) | set(group_keys)
-            if dex_key:
-                new_keys.add(dex_key)
-            if merge_key:
-                new_keys.add(merge_key)
-            old_keys: set[str] = set()
-            if previous is not None:
-                old_keys = set(previous.methods.values()) | set(previous.groups)
-                if previous.dex_key:
-                    old_keys.add(previous.dex_key)
-                if previous.merge_key:
-                    old_keys.add(previous.merge_key)
+            new_record = (
+                artifacts,
+                tuple(build.ltbo.group_keys) if build.ltbo else (),
+                dex_key,
+                build.merge.node_key if build.merge is not None else "",
+            )
+            new_keys = _node_keys(new_record)
+            old_keys = _node_keys(record) if record is not None else set()
             delta.nodes_added = len(new_keys - old_keys)
             delta.nodes_removed = len(old_keys - new_keys)
-
-            self.save_state(
-                label,
-                config,
-                GraphState(
-                    config_key=config_fingerprint(config),
-                    methods=method_keys,
-                    groups=group_keys,
-                    dex_key=dex_key,
-                    merge_key=merge_key,
-                ),
-            )
+            if record is None or new_keys != old_keys or delta.nodes_rebuilt:
+                self.cache.store_object(key, new_record)
         delta.seconds = time.perf_counter() - start
         self._record_metrics(delta)
         return build, delta
@@ -594,8 +452,6 @@ class BuildGraph:
         obs.counter_add("service.graph.builds")
         if delta.full_rebuild:
             obs.counter_add("service.graph.full_rebuilds")
-        if delta.state_corrupt:
-            obs.counter_add("service.graph.state_corrupt")
         obs.counter_add("service.graph.nodes", delta.nodes_total)
         obs.counter_add("service.graph.nodes_reused", delta.nodes_reused)
         obs.counter_add("service.graph.nodes_rebuilt", delta.nodes_rebuilt)

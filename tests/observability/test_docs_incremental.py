@@ -2,10 +2,10 @@
 
 Same contract style as ``test_docs_coverage``: instrumentation names
 are static literals, so the doc can be held to the code.  The
-incremental doc owns three surfaces — every ``service.graph.*``
-span/counter/histogram name, every key of the ``GraphDelta``
+incremental doc owns two surfaces — every ``service.graph.*``
+span/counter/histogram name, and every key of the ``GraphDelta``
 accounting dict (the ledger's ``graph`` field and the report's
-``graph`` summary block), and the on-disk graph-state schema version.
+``graph`` summary block).
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ def test_graph_metrics_exist():
     graph_names = {n for n in emitted_names() if n.startswith("service.graph.")}
     # Canaries: the rebuild accounting the CI gate rides on.
     assert {"service.graph.build", "service.graph.nodes_reused",
-            "service.graph.state_corrupt",
             "service.graph.delta_seconds"} <= graph_names
     assert len(graph_names) >= 10
 
@@ -51,13 +50,3 @@ def test_every_delta_field_is_documented():
         f"GraphDelta fields absent from docs/incremental.md: {missing}"
     )
 
-
-def test_schema_version_is_documented():
-    from repro.service import GRAPH_SCHEMA_VERSION
-
-    text = DOC.read_text(encoding="utf-8")
-    assert re.search(rf"schema[_ ]version.*\b{GRAPH_SCHEMA_VERSION}\b",
-                     text, re.IGNORECASE | re.DOTALL), (
-        "docs/incremental.md must state the current graph-state "
-        f"schema version ({GRAPH_SCHEMA_VERSION})"
-    )

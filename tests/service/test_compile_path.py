@@ -21,6 +21,7 @@ from repro.dex import bytecode as bc
 from repro.dex.method import DexMethod
 from repro.dex.verifier import VerificationError
 from repro.service import BuildService, ServiceConfig
+from repro.workloads import diff_stream
 
 
 def _delete_callee(dexfile):
@@ -147,3 +148,31 @@ def test_batch_compile_cache_is_timed_in_build_dex2oat(small_app):
     assert warm.compile_cached and warm_span.attrs["cached"] is True
     assert warm_span.find("dex2oat.codegen") is None
     assert warm.build.oat.to_bytes() == cold.build.oat.to_bytes()
+
+
+def _compile_report(trace):
+    """The ``cto.*``/``dex2oat.*`` counters and ``dex2oat.*`` span names
+    of one build's trace."""
+    counters = {
+        name: value for name, value in trace.counters.items()
+        if name.startswith(("cto.", "dex2oat."))
+    }
+    spans = {span.name for span in trace.walk() if span.name.startswith("dex2oat.")}
+    return counters, spans
+
+
+def test_incremental_compile_reports_what_dex2oat_reports(tmp_path, small_app):
+    """A delta build counts the assembled result, spliced method nodes
+    included, so ``calibro compare`` sees no change between it and a
+    scratch build of the same input."""
+    config = CalibroConfig.cto_ltbo_plopti(groups=4)
+    edited, _ = next(iter(diff_stream(small_app.dexfile, steps=1, seed=3,
+                                      kinds=("edit",))))
+    with BuildService(ServiceConfig(cache_dir=tmp_path, incremental=True)) as service:
+        cold, _ = _traced_submit(service, small_app.dexfile, config)
+        delta, _ = _traced_submit(service, edited, config)
+    assert delta.graph.methods_reused == delta.graph.methods_total - 1
+    for report, dexfile in ((cold, small_app.dexfile), (delta, edited)):
+        counters, spans = _compile_report(report.build.trace)
+        assert counters["cto.sites"] > 0 and counters["dex2oat.methods"] > 0
+        assert (counters, spans) == _compile_report(build_app(dexfile, config).trace)

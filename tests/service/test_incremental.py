@@ -6,34 +6,20 @@ produces an OAT image **bit-identical** to a from-scratch
 ``build_app`` after *any* sequence of method edits, additions and
 deletions — across the five configs and shard widths 1 and 4.  The
 delta accounting (``GraphDelta``) must match the documented
-invalidation rules, corrupt state/cache files must fall back to
-rebuilding (never mis-build), concurrent builds of one app must not
-trip over each other's state writes, and a graph state from a newer
-schema must refuse loudly.
+invalidation rules, and a damaged or foreign slot record or cache entry
+must fall back to rebuilding (never mis-build).
 """
 
 from __future__ import annotations
 
-import errno
-import json
 import os
-import sys
-import threading
-import time
 
 import pytest
 
 from repro.core import CalibroConfig, build_app
-from repro.core.errors import CalibroError, ServiceError
 from repro.dex.method import DexMethod
 from repro.service import BuildService, FaultPlan, ServiceConfig, armed
-from repro.service.cache import OutlineCache
-from repro.service.graph import (
-    GRAPH_SCHEMA_VERSION,
-    BuildGraph,
-    GraphState,
-    method_node_key,
-)
+from repro.service.graph import BuildGraph, method_node_key
 from repro.workloads import diff_stream
 
 CONFIGS = {
@@ -188,137 +174,6 @@ def test_memory_only_incremental_service_works(small_app):
 # -- failure semantics --------------------------------------------------------
 
 
-def _state_files(cache_dir):
-    return sorted((cache_dir / "graph").glob("*.json"))
-
-
-def test_concurrent_state_saves_of_one_slot_never_fail(tmp_path):
-    """Builds of one (label, config) slot that finish together — the
-    async front door runs several at once — each stage their own state
-    file: no writer loses its publish, the survivor parses, and no
-    stage file is left behind."""
-    graph = BuildGraph(OutlineCache(), tmp_path / "graph")
-    config = CalibroConfig.cto_ltbo()
-    writers, rounds = 4, 200
-    barrier = threading.Barrier(writers)
-    errors: list[OSError] = []
-
-    def write(writer: int) -> None:
-        barrier.wait()
-        for round_index in range(rounds):
-            state = GraphState(config_key=f"{writer}-{round_index}", groups=["g"])
-            try:
-                graph.save_state("app", config, state)
-            except OSError as exc:
-                errors.append(exc)
-
-    threads = [threading.Thread(target=write, args=(n,)) for n in range(writers)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert errors == []
-    (path,) = _state_files(tmp_path)
-    state = GraphState.from_dict(json.loads(path.read_text(encoding="utf-8")))
-    assert state.groups == ["g"]
-    assert not list((tmp_path / "graph").glob("*.tmp"))
-
-
-def test_failed_state_save_drops_its_stage_file_and_keeps_its_error(
-    tmp_path, monkeypatch
-):
-    graph = BuildGraph(OutlineCache(), tmp_path / "graph")
-    config = CalibroConfig.cto_ltbo()
-    state = GraphState(config_key="k", groups=["g"])
-
-    def _disk_full(src, dst):
-        raise OSError(errno.ENOSPC, "No space left on device")
-
-    monkeypatch.setattr(os, "replace", _disk_full)
-    with pytest.raises(OSError) as raised:
-        graph.save_state("app", config, state)
-    assert raised.value.errno == errno.ENOSPC
-    assert not list((tmp_path / "graph").glob("*.tmp"))
-
-    def _cannot_unlink(target, *args, **kwargs):
-        raise PermissionError(errno.EACCES, "Permission denied", str(target))
-
-    # A cleanup that fails in turn must not mask the publish error.
-    monkeypatch.setattr(os, "unlink", _cannot_unlink)
-    with pytest.raises(OSError) as raised:
-        graph.save_state("app", config, state)
-    assert raised.value.errno == errno.ENOSPC
-
-
-def test_opening_the_graph_sweeps_stale_stage_files_only(tmp_path):
-    """A writer that crashed between staging and publishing leaves its
-    stage file behind; the next graph over that directory removes it
-    once it is stale, and leaves a live writer's young one alone."""
-    state_dir = tmp_path / "graph"
-    state_dir.mkdir()
-    orphan = state_dir / "deadbeef.12345.0.tmp"
-    orphan.write_text("{", encoding="utf-8")
-    stale = time.time() - 3600
-    os.utime(orphan, (stale, stale))
-    live = state_dir / "deadbeef.12345.1.tmp"
-    live.write_text("{", encoding="utf-8")
-
-    BuildGraph(OutlineCache(), state_dir)
-    assert not orphan.exists()
-    assert live.exists()
-
-
-def test_newer_graph_state_schema_raises_calibro_error(tmp_path, small_app):
-    config = CalibroConfig.cto_ltbo()
-    with BuildService(ServiceConfig(cache_dir=tmp_path, incremental=True)) as svc:
-        svc.submit(small_app.dexfile, config, label="app")
-        (path,) = _state_files(tmp_path)
-        doc = json.loads(path.read_text(encoding="utf-8"))
-        doc["schema_version"] = GRAPH_SCHEMA_VERSION + 1
-        path.write_text(json.dumps(doc), encoding="utf-8")
-        with pytest.raises(CalibroError, match="newer"):
-            svc.submit(small_app.dexfile, config, label="app")
-
-
-def test_torn_graph_state_falls_back_to_full_rebuild(tmp_path, small_app):
-    """A corrupt state file is accounting damage only: the build
-    succeeds with identical bytes, flags the corruption, and heals the
-    file."""
-    config = CalibroConfig.cto_ltbo_plopti(groups=4)
-    reference = build_app(small_app.dexfile, config)
-    with BuildService(ServiceConfig(cache_dir=tmp_path, incremental=True)) as svc:
-        svc.submit(small_app.dexfile, config, label="app")
-        (path,) = _state_files(tmp_path)
-        path.write_text('{"schema_version": 1, "methods": [truncated', "utf-8")
-        report = svc.submit(small_app.dexfile, config, label="app")
-    assert report.build.oat.to_bytes() == reference.oat.to_bytes()
-    assert report.graph.state_corrupt
-    assert report.graph.full_rebuild
-    # Healed: the new state parses again.
-    (path,) = _state_files(tmp_path)
-    assert (
-        json.loads(path.read_text(encoding="utf-8"))["schema_version"]
-        == GRAPH_SCHEMA_VERSION
-    )
-
-
-def test_structurally_damaged_state_falls_back(tmp_path, small_app):
-    config = CalibroConfig.cto_ltbo()
-    with BuildService(ServiceConfig(cache_dir=tmp_path, incremental=True)) as svc:
-        svc.submit(small_app.dexfile, config, label="app")
-        (path,) = _state_files(tmp_path)
-        path.write_text('{"schema_version": 1, "methods": "not-a-dict", "groups": []}',
-                        "utf-8")
-        report = svc.submit(small_app.dexfile, config, label="app")
-    assert report.graph.state_corrupt and report.graph.full_rebuild
-
-
 def test_corrupted_cache_entries_rebuild_never_misbuild(tmp_path, small_app):
     """Torn/garbage artifact files: every affected node silently
     recomputes — output bytes stay identical to scratch."""
@@ -340,6 +195,70 @@ def test_corrupted_cache_entries_rebuild_never_misbuild(tmp_path, small_app):
     assert report.graph.nodes_rebuilt > 0
 
 
+def _garbage_bytes(svc, key):
+    svc.cache._entry_path(key).write_bytes(b"\x80garbage not a pickle")
+
+
+def _bare_artifact_bundle(svc, key):
+    """What older builds stored under the record's key: the method
+    artifacts alone, without the other node keys."""
+    artifacts = svc.cache.lookup_object(key)[0]
+    svc.cache.store_object(key, artifacts)
+
+
+@pytest.mark.parametrize("damage", [_garbage_bytes, _bare_artifact_bundle])
+def test_damaged_or_foreign_slot_record_is_a_full_rebuild(tmp_path, small_app, damage):
+    """A slot record the cache cannot read, or one of another shape,
+    reads as absent: a full rebuild with scratch bytes, after which the
+    slot has a record again."""
+    config = CalibroConfig.cto_ltbo_plopti(groups=4).with_merging()
+    reference = build_app(small_app.dexfile, config)
+    key = BuildGraph.record_key("app", config)
+    with BuildService(ServiceConfig(cache_dir=tmp_path, incremental=True)) as svc:
+        svc.submit(small_app.dexfile, config, label="app")
+        damage(svc, key)
+    # Fresh service: the damaged disk tier is the only source.
+    with BuildService(ServiceConfig(cache_dir=tmp_path, incremental=True)) as svc:
+        healed = svc.submit(small_app.dexfile, config, label="app")
+        again = svc.submit(small_app.dexfile, config, label="app")
+    assert healed.build.oat.to_bytes() == reference.oat.to_bytes()
+    assert healed.graph.full_rebuild
+    assert healed.graph.methods_rebuilt == healed.graph.methods_total
+    assert not again.graph.full_rebuild
+    assert again.graph.nodes_rebuilt == 0
+
+
+def test_incremental_service_keeps_nothing_but_cache_entries(tmp_path, small_app):
+    config = CalibroConfig.cto_ltbo_plopti(groups=4)
+    edited, _ = next(iter(diff_stream(small_app.dexfile, steps=1, seed=3,
+                                      kinds=("edit",))))
+    with BuildService(ServiceConfig(cache_dir=tmp_path, incremental=True)) as svc:
+        svc.submit(small_app.dexfile, config, label="app")
+        svc.submit(edited, config, label="app")
+    assert not (tmp_path / "graph").exists()
+    paths = list(tmp_path.rglob("*"))
+    entries = [p for p in paths if p.is_file()]
+    assert entries and sorted(entries) == sorted(tmp_path.glob("??/*.bin"))
+    assert all(len(p.name) == 2 for p in paths if p.is_dir())
+
+
+def test_unchanged_resubmit_publishes_no_file(tmp_path, small_app, monkeypatch):
+    config = CalibroConfig.cto_ltbo_plopti(groups=4).with_merging()
+    with BuildService(ServiceConfig(cache_dir=tmp_path, incremental=True)) as svc:
+        svc.submit(small_app.dexfile, config, label="app")
+        published = []
+        real_replace = os.replace
+
+        def counting_replace(src, dst):
+            published.append(dst)
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", counting_replace)
+        report = svc.submit(small_app.dexfile, config, label="app")
+    assert report.graph.nodes_rebuilt == 0
+    assert published == []
+
+
 def test_incremental_delta_survives_injected_pool_crash(tmp_path, small_app):
     """A worker crash mid-delta walks the pool's retry ladder; the
     delta build still lands byte-identical."""
@@ -355,31 +274,6 @@ def test_incremental_delta_survives_injected_pool_crash(tmp_path, small_app):
 
 
 # -- the node-key model -------------------------------------------------------
-
-
-def test_graph_state_round_trips():
-    state = GraphState(
-        config_key="cfg", methods={"a": "k1"}, groups=["g1", "g2"], dex_key="d"
-    )
-    assert GraphState.from_dict(state.to_dict()) == state
-
-
-def test_graph_state_refuses_newer_schema():
-    doc = GraphState(config_key="c").to_dict()
-    doc["schema_version"] = GRAPH_SCHEMA_VERSION + 1
-    with pytest.raises(ServiceError, match="newer"):
-        GraphState.from_dict(doc)
-
-
-@pytest.mark.parametrize("doc", [
-    "nope",
-    {"schema_version": "one"},
-    {"schema_version": 1, "methods": [], "groups": []},
-    {"schema_version": 1, "methods": {}, "groups": "x"},
-])
-def test_graph_state_rejects_damage_as_value_error(doc):
-    with pytest.raises((ValueError, TypeError)):
-        GraphState.from_dict(doc)
 
 
 def test_method_node_key_tracks_content_not_position():

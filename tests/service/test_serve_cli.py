@@ -89,16 +89,38 @@ def test_unknown_config_key_maps_to_exit_code_2(tmp_path, dex_json, capsys):
 
 
 def test_serve_max_concurrent_defaults_to_bounded_executor_width():
-    # The front door's executor is bounded at min(4, cpus) by default —
-    # one core serializes, a many-core host still caps at 4 so a single
-    # serve process cannot monopolize the machine.
-    import os
-
+    # The front door's executor is bounded at min(4, usable cpus) by
+    # default — one core serializes, a many-core host still caps at 4 so
+    # a single serve process cannot monopolize the machine.
     from repro.cli import _build_parser
+    from repro.suffixtree.parallel import available_parallelism
 
     args = _build_parser().parse_args(["serve", "in.dex", "-o", "out"])
-    assert args.max_concurrent == min(4, os.cpu_count() or 1)
+    assert args.max_concurrent == min(4, available_parallelism())
     assert args.max_concurrent >= 1
+
+
+def test_verification_error_is_one_error_line_with_exit_code_1(
+    tmp_path, dex_json, capsys
+):
+    """An input that fails verification is a deliberate pipeline error:
+    one ``error:`` line naming the bad register, not a traceback."""
+    from dataclasses import replace
+
+    from repro.dex import bytecode as bc
+    from repro.dex.serialize import load_dexfile
+
+    dexfile = load_dexfile(str(dex_json))
+    method = next(m for m in dexfile.all_methods()
+                  if any(isinstance(i, bc.Const) for i in m.code))
+    index = next(i for i, instr in enumerate(method.code) if isinstance(instr, bc.Const))
+    method.code[index] = replace(method.code[index], dst=method.num_registers)
+    bad = tmp_path / "bad.dex.json"
+    save_dexfile(dexfile, str(bad))
+    assert main(["build", str(bad), "-o", str(tmp_path / "bad.oat")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"v{method.num_registers} out of range" in err
 
 
 def test_link_error_maps_to_exit_code_4(tmp_path, capsys):
