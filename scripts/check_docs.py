@@ -1,11 +1,17 @@
 #!/usr/bin/env python
-"""Documentation checker: dead links and broken example code.
+"""Documentation checker: dead links, stale code names and broken
+example code.
 
 Checks README.md and everything under docs/:
 
 * every relative markdown link ``[text](path)`` resolves to a file in
   the repository (``http(s)://``, ``mailto:`` and ``#anchor`` links are
   skipped; a ``path#anchor`` suffix is stripped before resolving);
+* every backticked dotted name that starts with ``repro.`` resolves:
+  its longest importable module prefix imports and ``getattr`` finds
+  the rest;
+* every backticked ``*.py`` path exists at the repository root or
+  under ``src/repro/``;
 * every fenced ```` ```python ```` block executes cleanly in a fresh
   namespace, with ``src/`` on ``sys.path`` and a temporary working
   directory (so examples may write files).  A block preceded by an
@@ -19,6 +25,7 @@ wrapper ``tests/test_check_docs.py``.  Exit code = number of problems.
 from __future__ import annotations
 
 import contextlib
+import importlib
 import io
 import os
 import re
@@ -30,6 +37,8 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parents[1]
 
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
+_DOTTED = re.compile(r"(?<!`)`(repro(?:\.\w+)+)")
+_PY_PATH = re.compile(r"`([\w./-]+\.py)`")
 _FENCE = re.compile(r"^```python\s*$")
 _SKIP_MARKER = "<!-- doccheck: skip -->"
 _EXTERNAL = ("http://", "https://", "mailto:")
@@ -51,6 +60,43 @@ def check_links(path: Path) -> list[str]:
             if not resolved.exists():
                 problems.append(f"{path.relative_to(REPO)}:{lineno}: dead link -> {target}")
     return problems
+
+
+def _resolves(dotted: str) -> bool:
+    parts = dotted.split(".")
+    for split in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:split]))
+        except ImportError:
+            continue
+        try:
+            for attr in parts[split:]:
+                obj = getattr(obj, attr)
+        except AttributeError:
+            return False
+        return True
+    return False
+
+
+def check_names(path: Path) -> list[str]:
+    """Backticked ``repro.`` names and ``*.py`` paths that no longer
+    exist."""
+    text = path.read_text(encoding="utf-8")
+    problems = []
+    for pattern, exists in (
+        (_DOTTED, _resolves),
+        (_PY_PATH, lambda p: (REPO / p).exists() or (REPO / "src" / "repro" / p).exists()),
+    ):
+        for match in pattern.finditer(text):
+            name = match.group(1)
+            if not exists(name):
+                lineno = text.count("\n", 0, match.start()) + 1
+                problems.append(f"{_display(path)}:{lineno}: stale code name -> {name}")
+    return problems
+
+
+def _display(path: Path) -> str:
+    return str(path.relative_to(REPO)) if path.is_relative_to(REPO) else str(path)
 
 
 def python_blocks(path: Path) -> list[tuple[int, str, bool]]:
@@ -103,6 +149,7 @@ def main() -> int:
     checked_blocks = 0
     for path in doc_files():
         problems.extend(check_links(path))
+        problems.extend(check_names(path))
         blocks = python_blocks(path)
         checked_blocks += sum(1 for _, _, skip in blocks if not skip)
         problems.extend(check_code(path))

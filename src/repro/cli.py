@@ -74,7 +74,7 @@ def _maybe_trace(args):
     if not path and not chrome_path:
         yield
         return
-    from repro.observability import JsonReporter, write_chrome
+    from repro.observability import write_chrome, write_json
 
     # The trace is written *after* the work; surface a bad path before
     # spending a whole build on it.
@@ -90,7 +90,7 @@ def _maybe_trace(args):
         yield
     snapshot = tracer.snapshot(command=args.command)
     if path:
-        JsonReporter(path).emit(snapshot)
+        write_json(snapshot, path)
         print(f"trace -> {path} (inspect with: calibro trace {path})")
     if chrome_path:
         write_chrome(snapshot, chrome_path)
@@ -687,7 +687,7 @@ def _cmd_dexdump(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    from repro.observability import TextReporter, load_trace
+    from repro.observability import load_trace, render_text
 
     try:
         trace = load_trace(args.input)
@@ -707,7 +707,7 @@ def _cmd_trace(args) -> int:
         )
         return 0
     try:
-        TextReporter(counters=not args.no_counters).emit(trace)
+        print(render_text(trace, counters=not args.no_counters))
     except BrokenPipeError:
         # Downstream pager/head closed the pipe mid-print; swallow the
         # shutdown-time flush error too.

@@ -29,7 +29,7 @@ from repro.dex.method import DexFile, DexMethod
 from repro.dex.verifier import verify_dexfile
 from repro.hgraph.builder import build_hgraph
 from repro.hgraph.ir import HGraph
-from repro.hgraph.passes import PassManager
+from repro.hgraph.passes import optimize
 from repro.suffixtree.parallel import clamp_jobs, round_robin_shards, shared_executor
 
 __all__ = ["Dex2OatResult", "assemble_result", "compile_method", "dex2oat"]
@@ -63,10 +63,10 @@ def dex2oat(
     *,
     cto: bool = False,
     inline: bool = False,
-    verify: bool = True,
     jobs: int = 1,
 ) -> Dex2OatResult:
-    """Compile a dex file to a set of relocatable method blobs.
+    """Compile a dex file to a set of relocatable method blobs, after
+    verifying the whole file (``dex2oat.verify``).
 
     ``cto=True`` enables the compilation-time outlining of the three
     ART-specific patterns (paper Section 3.1).  ``inline=True`` runs the
@@ -88,9 +88,8 @@ def dex2oat(
     if jobs < 1:
         raise ConfigError("jobs must be >= 1")
     start = time.perf_counter()
-    if verify:
-        with obs.span("dex2oat.verify"):
-            verify_dexfile(dexfile)
+    with obs.span("dex2oat.verify"):
+        verify_dexfile(dexfile)
     methods = dexfile.all_methods()
     graphs: dict[str, HGraph] | None = None
     inlined_sites = 0
@@ -187,13 +186,12 @@ def _compile_chunk(
     """
     cto, methods = payload
     thunks = ThunkCache() if cto else None
-    manager = PassManager()
     compiled: list[CompiledMethod] = []
     before = after = 0
     for method_id, method in methods:
         graph = graphs.get(method.name) if graphs is not None else None
         method_compiled, ir_before, ir_after = compile_method(
-            method, method_id, thunks, manager, graph
+            method, method_id, thunks, graph
         )
         compiled.append(method_compiled)
         before += ir_before
@@ -205,7 +203,6 @@ def compile_method(
     method: DexMethod,
     method_id: int,
     thunks: ThunkCache | None,
-    manager: PassManager,
     graph: HGraph | None = None,
 ) -> tuple[CompiledMethod, int, int]:
     """Compile one method: a JNI stub for a native method, otherwise the
@@ -223,7 +220,7 @@ def compile_method(
     else:
         if graph is None:
             graph = build_hgraph(method)
-        stats = manager.run(graph)
+        stats = optimize(graph)
         compiled = compile_graph(graph, method, thunks)
         before, after = stats.instructions_before, stats.instructions_after
     if tracer is not None:

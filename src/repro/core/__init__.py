@@ -7,8 +7,7 @@
   :mod:`repro.core.patch` (§3.3.4)
 * PlOpti — :mod:`repro.core.parallel` (§3.4.1)
 * HfOpti — :mod:`repro.core.hotfilter` (§3.4.2)
-* The Fig. 5 pipeline — :mod:`repro.core.pipeline`, with its
-  size-reduction passes in :mod:`repro.core.passes`
+* The Fig. 5 pipeline — :mod:`repro.core.pipeline`
 * Global function merging — :mod:`repro.core.merge` (post-outlining)
 * The Fig. 2 benefit model — :mod:`repro.core.benefit`
 
@@ -30,10 +29,6 @@ _EXPORTS = {
     "MergeStats": "repro.core.merge",
     "merge_functions": "repro.core.merge",
     "merge_node_key": "repro.core.merge",
-    "MergePass": "repro.core.passes",
-    "OutlinePass": "repro.core.passes",
-    "PassContext": "repro.core.passes",
-    "PassState": "repro.core.passes",
     "CandidateSelection": "repro.core.candidates",
     "select_candidates": "repro.core.candidates",
     "CalibroError": "repro.core.errors",
@@ -61,6 +56,7 @@ _EXPORTS = {
     "SUMMARY_KEYS": "repro.core.pipeline",
     "SUMMARY_SCHEMA_VERSION": "repro.core.pipeline",
     "build_app": "repro.core.pipeline",
+    "outline_methods": "repro.core.pipeline",
     "compile_stage": "repro.core.staged",
     "link_stage": "repro.core.staged",
     "outline_stage": "repro.core.staged",
@@ -110,12 +106,6 @@ if TYPE_CHECKING:  # pragma: no cover - static analysis only
         outline_group,
     )
     from repro.core.parallel import ParallelOutlineResult, outline_partitioned
-    from repro.core.passes import (
-        MergePass,
-        OutlinePass,
-        PassContext,
-        PassState,
-    )
     from repro.core.patch import PatchError, patch_pc_relative
     from repro.core.patterns import ThunkCache, count_pattern_occurrences
     from repro.core.pipeline import (
@@ -124,5 +114,6 @@ if TYPE_CHECKING:  # pragma: no cover - static analysis only
         CalibroBuild,
         CalibroConfig,
         build_app,
+        outline_methods,
     )
     from repro.core.staged import compile_stage, link_stage, outline_stage

@@ -1,9 +1,11 @@
 """The end-to-end Calibro build pipeline (paper Fig. 5).
 
 ``build_app`` runs dex2oat (with or without CTO), then LTBO.2 over the
-candidate methods (one global index or K PlOpti partitions, with the
-optional HfOpti mask), then the linking phase — producing the final OAT
-image plus the per-phase timing breakdown Table 6 reports.
+candidate methods (:func:`outline_methods`: one global index or K
+PlOpti partitions, with the optional HfOpti mask), then, with
+``merging``, global function merging (:mod:`repro.core.merge`), then
+the linking phase — producing the final OAT image plus the per-phase
+timing breakdown Table 6 reports.
 
 Configurations match the paper's evaluation rows:
 
@@ -40,7 +42,6 @@ from repro.core.outline import (
     OutlineStats,
 )
 from repro.core.parallel import ParallelOutlineResult
-from repro.core.passes import PASSES, PassContext, PassState
 from repro.dex.method import DexFile
 from repro.oat.linker import link
 from repro.oat.oatfile import OatFile
@@ -48,9 +49,13 @@ from repro.observability import Trace
 from repro.suffixtree import parallel as group_parallel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.compiler.compiled import CompiledMethod
     from repro.core.merge import MergeResult
 
-__all__ = ["CalibroBuild", "CalibroConfig", "SUMMARY_KEYS", "SUMMARY_SCHEMA_VERSION", "build_app"]
+__all__ = [
+    "CalibroBuild", "CalibroConfig", "SUMMARY_KEYS", "SUMMARY_SCHEMA_VERSION",
+    "build_app", "outline_methods",
+]
 
 #: Version of the ``CalibroBuild.summary()`` / ``to_json()`` document.
 #: Bump on any key addition, removal or meaning change; consumers pin it.
@@ -77,6 +82,13 @@ SUMMARY_KEYS = (
     "merge_saved_bytes",
     "build_seconds",
     "timings",
+)
+
+
+#: The ``CalibroConfig`` fields that hold an ``int`` (``jobs`` may also
+#: be ``None``); a ``bool`` is not accepted as one.
+_INT_FIELDS = (
+    "parallel_groups", "jobs", "min_length", "max_length", "min_saved", "partition_seed",
 )
 
 
@@ -113,6 +125,23 @@ class CalibroConfig:
     name: str = "baseline"
 
     def __post_init__(self) -> None:
+        for name in ("cto_enabled", "ltbo_enabled", "inlining", "merging"):
+            if not isinstance(getattr(self, name), bool):
+                raise ConfigError(f"{name} must be a bool, got {getattr(self, name)!r}")
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if value is None and name == "jobs":
+                continue
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{name} must be an int, got {value!r}")
+        if not isinstance(self.name, str):
+            raise ConfigError(f"name must be a str, got {self.name!r}")
+        if self.hot_filter is not None and not isinstance(
+            self.hot_filter, HotFunctionFilter
+        ):
+            raise ConfigError(
+                f"hot_filter must be a HotFunctionFilter or None, got {self.hot_filter!r}"
+            )
         if self.parallel_groups < 1:
             raise ConfigError(
                 f"parallel_groups must be >= 1, got {self.parallel_groups}"
@@ -130,15 +159,10 @@ class CalibroConfig:
             raise ConfigError(f"min_saved must be >= 0, got {self.min_saved}")
 
     @property
-    def passes(self) -> tuple[str, ...]:
-        """The ordered size-reduction passes this config runs, derived
-        from ``ltbo_enabled`` / ``merging`` (read-only)."""
-        derived: list[str] = []
-        if self.ltbo_enabled:
-            derived.append("outline")
-        if self.merging:
-            derived.append("merge")
-        return tuple(derived)
+    def hot_names(self) -> frozenset[str]:
+        """The HfOpti hot methods LTBO and merging leave alone (empty
+        without a ``hot_filter``)."""
+        return self.hot_filter.hot_names if self.hot_filter is not None else frozenset()
 
     @classmethod
     def baseline(cls) -> "CalibroConfig":
@@ -229,15 +253,17 @@ class CalibroConfig:
         if hot is not None:
             if not isinstance(hot, dict):
                 raise ConfigError("hot_filter must be a mapping or null")
-            try:
-                hot_filter = HotFunctionFilter(
-                    hot_names=frozenset(hot["hot_names"]),
-                    coverage=hot.get("coverage", 0.80),
-                    total_cycles=hot.get("total_cycles", 0),
-                    covered_cycles=hot.get("covered_cycles", 0),
-                )
-            except KeyError as exc:
-                raise ConfigError(f"hot_filter is missing key {exc}") from None
+            if "hot_names" not in hot:
+                raise ConfigError("hot_filter is missing key 'hot_names'")
+            names = hot["hot_names"]
+            if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+                raise ConfigError("hot_filter.hot_names must be a list of strings")
+            hot_filter = HotFunctionFilter(
+                hot_names=frozenset(names),
+                coverage=hot.get("coverage", 0.80),
+                total_cycles=hot.get("total_cycles", 0),
+                covered_cycles=hot.get("covered_cycles", 0),
+            )
         known = {
             "name", "cto_enabled", "ltbo_enabled", "inlining", "parallel_groups",
             "jobs", "min_length", "max_length", "min_saved", "partition_seed",
@@ -300,7 +326,7 @@ class CalibroBuild:
             "outlined_functions": self.ltbo.total_outlined_functions if self.ltbo else 0,
             "occurrences_replaced": self.ltbo.total_occurrences if self.ltbo else 0,
             "cached_groups": self.ltbo.cached_groups if self.ltbo else 0,
-            "merging": "merge" in self.config.passes,
+            "merging": self.config.merging,
             "functions_folded": self.merge.stats.functions_folded if self.merge else 0,
             "functions_merged": self.merge.stats.functions_merged if self.merge else 0,
             "merge_saved_bytes": self.merge.stats.saved_bytes if self.merge else 0,
@@ -339,11 +365,12 @@ def build_app(
     ``dex2oat`` call inside ``build.dex2oat`` — the service's cached
     whole-dex compile or the build graph's per-method nodes — so every
     path times its compile work there; ``cache``/``pool`` flow to
-    :func:`~repro.core.parallel.outline_partitioned` (the outline cache
-    and the persistent worker pool), and ``phase_hook`` — a
+    :func:`outline_methods` (the outline cache and the persistent
+    worker pool) and the cache to
+    :func:`~repro.core.merge.merge_functions`, and ``phase_hook`` — a
     ``callable(phase: str)`` — fires as each pipeline phase starts
-    (``"dex2oat"``, ``"ltbo"``, ``"link"``): the mechanism behind the
-    serve protocol's streamed ``progress`` events.
+    (``"dex2oat"``, ``"ltbo"``, ``"merge"``, ``"link"``): the mechanism
+    behind the serve protocol's streamed ``progress`` events.
     """
     config = config or CalibroConfig.baseline()
     tracer = obs.current_tracer()
@@ -379,28 +406,49 @@ def _phase(phase_hook, name: str) -> None:
         phase_hook(name)
 
 
-def _run_passes(
-    tracer: obs.Tracer,
-    methods: list,
+def outline_methods(
+    methods: list["CompiledMethod"],
     config: CalibroConfig,
-    cache,
-    pool,
-    phase_hook,
-) -> tuple[PassState, dict[str, float]]:
-    """Run ``config.passes`` over the compiled methods, each inside its
-    phase span (``build.ltbo``, ``build.merge``) opened on ``tracer``;
-    returns the state and each span's duration under the pass's
-    ``phase`` bucket (``"ltbo"``, ``"merge"``)."""
-    state = PassState(methods=methods)
-    context = PassContext(cache=cache, pool=pool)
-    pass_seconds: dict[str, float] = {}
-    for pass_name in config.passes:
-        size_pass = PASSES[pass_name]()
-        _phase(phase_hook, size_pass.phase)
-        with tracer.span(size_pass.span_name) as pass_span:
-            size_pass.run(state, config, context)
-        pass_seconds[size_pass.phase] = pass_span.duration
-    return state, pass_seconds
+    *,
+    symbol_prefix: str = "MethodOutliner",
+    cache=None,
+    pool=None,
+) -> tuple[CandidateSelection, ParallelOutlineResult]:
+    """LTBO.2 (paper §3.3, §3.4.1) over ``methods``, rewritten in place:
+    candidate selection, partitioned repeat mining with ``config``'s
+    thresholds, then the rewritten methods spliced back and the
+    outlined functions appended.  Returns the selection and the outline
+    result.
+
+    ``symbol_prefix`` namespaces the outlined functions (the staged
+    driver gives each round after the first its own); ``cache`` and
+    ``pool`` are the build service's outline cache and worker pool.
+    """
+    # Looked up at call time, not bound at import, so a caller that
+    # wraps these module attributes sees every call.
+    from repro.core.candidates import select_candidates
+    from repro.core.parallel import outline_partitioned
+
+    with obs.span("ltbo.select_candidates"):
+        selection = select_candidates(methods)
+    ltbo = outline_partitioned(
+        selection.candidates,
+        groups=config.parallel_groups,
+        hot_names=config.hot_names,
+        min_length=config.min_length,
+        max_length=config.max_length,
+        min_saved=config.min_saved,
+        jobs=config.jobs,
+        seed=config.partition_seed,
+        symbol_prefix=symbol_prefix,
+        cache=cache,
+        pool=pool,
+    )
+    with obs.span("ltbo.apply"):
+        for index, rewritten in ltbo.rewritten.items():
+            methods[index] = rewritten
+        methods.extend(ltbo.outlined)
+    return selection, ltbo
 
 
 def _build(
@@ -420,26 +468,45 @@ def _build(
             )
             compile_span.attrs["cached"] = methods_compiled == 0
 
-        state, pass_seconds = _run_passes(
-            tracer, list(compile_result.methods), config, cache, pool, phase_hook
-        )
+        methods = list(compile_result.methods)
+        selection = ltbo = merge = None
+        ltbo_seconds = merge_seconds = 0.0
+        if config.ltbo_enabled:
+            _phase(phase_hook, "ltbo")
+            with tracer.span("build.ltbo") as ltbo_span:
+                selection, ltbo = outline_methods(methods, config, cache=cache, pool=pool)
+            ltbo_seconds = ltbo_span.duration
+        if config.merging:
+            # Looked up at call time, like the LTBO entry points.
+            from repro.core.merge import merge_functions
+
+            _phase(phase_hook, "merge")
+            with tracer.span("build.merge") as merge_span:
+                merge = merge_functions(
+                    methods,
+                    hot_names=config.hot_names,
+                    min_saved=config.min_saved,
+                    cache=cache,
+                )
+            methods = merge.methods
+            merge_seconds = merge_span.duration
 
         _phase(phase_hook, "link")
         with tracer.span("build.link") as link_span:
-            oat = link(state.methods, dexfile, aliases=state.aliases or None)
+            oat = link(methods, dexfile, aliases=merge.aliases if merge is not None else None)
 
     return CalibroBuild(
         oat=oat,
         config=config,
         dex2oat=compile_result,
         methods_compiled=methods_compiled,
-        selection=state.selection,
-        ltbo=state.ltbo,
-        merge=state.merge,
+        selection=selection,
+        ltbo=ltbo,
+        merge=merge,
         timings={
             "compile": compile_span.duration,
-            "ltbo": pass_seconds.get("ltbo", 0.0),
-            "merge": pass_seconds.get("merge", 0.0),
+            "ltbo": ltbo_seconds,
+            "merge": merge_seconds,
             "link": link_span.duration,
             "total": build_span.duration,
         },

@@ -18,8 +18,7 @@ from repro.compiler.package import CompilationPackage
 from repro.core.errors import ConfigError
 from repro.core.hotfilter import HotFunctionFilter
 from repro.core.outline import DEFAULT_MAX_LENGTH, DEFAULT_MIN_LENGTH, DEFAULT_MIN_SAVED
-from repro.core.passes import OutlinePass, PassContext, PassState
-from repro.core.pipeline import CalibroConfig
+from repro.core.pipeline import CalibroConfig, outline_methods
 from repro.dex.method import DexFile
 from repro.oat.linker import link
 from repro.oat.oatfile import OatFile
@@ -60,10 +59,10 @@ def outline_stage(
 ) -> CompilationPackage:
     """LTBO.2 over a package; returns the rewritten package.
 
-    Each round runs :class:`~repro.core.passes.OutlinePass`, the pass
-    ``build_app`` runs, so staged and one-shot builds cannot drift; the
-    thresholds are validated as a :class:`CalibroConfig` before any
-    work starts.
+    Each round runs :func:`~repro.core.pipeline.outline_methods`, the
+    LTBO stage ``build_app`` runs, so staged and one-shot builds cannot
+    drift; the thresholds are validated as a :class:`CalibroConfig`
+    before any work starts.
 
     ``rounds > 1`` re-runs the outliner over its own output (Uber's
     multi-round approach from the related work).  Outlined functions end
@@ -83,19 +82,18 @@ def outline_stage(
         max_length=max_length,
         min_saved=min_saved,
     )
-    state = PassState(methods=list(package.methods))
+    methods = list(package.methods)
     round_info = []
     for round_index in range(rounds):
         prefix = (
             "MethodOutliner" if round_index == 0 else f"MethodOutliner$r{round_index}"
         )
         with obs.span("stage.outline", round=round_index, groups=groups):
-            OutlinePass(prefix).run(
-                state,
+            _selection, result = outline_methods(
+                methods,
                 replace(config, partition_seed=seed + round_index),
-                PassContext(),
+                symbol_prefix=prefix,
             )
-        result = state.ltbo
         round_info.append(
             {
                 "outlined_functions": result.total_outlined_functions,
@@ -117,7 +115,7 @@ def outline_stage(
         "hot_filtered": len(hot_filter.hot_names) if hot_filter is not None else 0,
     }
     return CompilationPackage(
-        methods=state.methods,
+        methods=methods,
         string_table=package.string_table,
         cto_enabled=package.cto_enabled,
         annotations=annotations,

@@ -3,7 +3,7 @@ optimization pass pipeline."""
 
 from repro.hgraph.builder import build_hgraph
 from repro.hgraph.ir import HBasicBlock, HGraph, HInstruction, IRValidationError
-from repro.hgraph.passes import OptimizationStats, PassManager
+from repro.hgraph.passes import OptimizationStats, optimize
 
 __all__ = [
     "HBasicBlock",
@@ -11,6 +11,6 @@ __all__ = [
     "HInstruction",
     "IRValidationError",
     "OptimizationStats",
-    "PassManager",
     "build_hgraph",
+    "optimize",
 ]

@@ -6,14 +6,12 @@ from repro.hgraph.passes.dce import eliminate_dead_code, liveness
 from repro.hgraph.passes.gvn import value_number
 from repro.hgraph.passes.inlining import inline_small_methods
 from repro.hgraph.passes.licm import dominators, hoist_loop_invariants, natural_loops
-from repro.hgraph.passes.manager import OptimizationStats, PassManager, default_pipeline
+from repro.hgraph.passes.manager import OptimizationStats, optimize
 from repro.hgraph.passes.return_merging import merge_returns
 from repro.hgraph.passes.unreachable import remove_unreachable
 
 __all__ = [
     "OptimizationStats",
-    "PassManager",
-    "default_pipeline",
     "eliminate_dead_code",
     "dominators",
     "fold_constants",
@@ -22,6 +20,7 @@ __all__ = [
     "natural_loops",
     "liveness",
     "merge_returns",
+    "optimize",
     "propagate_copies",
     "remove_unreachable",
     "value_number",

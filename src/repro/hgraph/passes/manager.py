@@ -1,5 +1,5 @@
-"""Pass manager: the HGraph optimization pipeline of the dex2oat
-substrate (paper Fig. 5, the "opt passes" stage).
+"""The HGraph optimization pipeline of the dex2oat substrate (paper
+Fig. 5, the "opt passes" stage).
 
 Pass order follows the classic recipe: clean the CFG, propagate facts,
 value-number, clean up, and merge returns last (it deliberately creates
@@ -21,7 +21,7 @@ from repro.hgraph.passes.licm import hoist_loop_invariants
 from repro.hgraph.passes.return_merging import merge_returns
 from repro.hgraph.passes.unreachable import remove_unreachable
 
-__all__ = ["OptimizationStats", "PassManager", "default_pipeline"]
+__all__ = ["OptimizationStats", "optimize"]
 
 
 @dataclass
@@ -35,49 +35,41 @@ class OptimizationStats:
     pass_hits: dict[str, int] = field(default_factory=dict)
 
 
-def default_pipeline() -> list[tuple[str, Callable[[HGraph], bool]]]:
-    return [
-        ("unreachable", remove_unreachable),
-        ("constant-folding", fold_constants),
-        ("copy-propagation", propagate_copies),
-        ("gvn", value_number),
-        ("copy-propagation", propagate_copies),
-        ("licm", hoist_loop_invariants),
-        ("dce", eliminate_dead_code),
-        ("unreachable", remove_unreachable),
-    ]
+#: The pipeline ``optimize`` iterates, in order.
+_PIPELINE: tuple[tuple[str, Callable[[HGraph], bool]], ...] = (
+    ("unreachable", remove_unreachable),
+    ("constant-folding", fold_constants),
+    ("copy-propagation", propagate_copies),
+    ("gvn", value_number),
+    ("copy-propagation", propagate_copies),
+    ("licm", hoist_loop_invariants),
+    ("dce", eliminate_dead_code),
+    ("unreachable", remove_unreachable),
+)
+
+#: The fixed-point bound on pipeline iterations.
+_MAX_ITERATIONS = 4
 
 
-class PassManager:
-    """Runs the optimization pipeline to a bounded fixed point."""
-
-    def __init__(
-        self,
-        pipeline: list[tuple[str, Callable[[HGraph], bool]]] | None = None,
-        max_iterations: int = 4,
-        enable_return_merging: bool = True,
-    ):
-        self._pipeline = pipeline if pipeline is not None else default_pipeline()
-        self._max_iterations = max_iterations
-        self._enable_return_merging = enable_return_merging
-
-    def run(self, graph: HGraph) -> OptimizationStats:
-        stats = OptimizationStats(
-            method_name=graph.method_name,
-            instructions_before=graph.instruction_count(),
-        )
-        for _ in range(self._max_iterations):
-            stats.iterations += 1
-            any_change = False
-            for name, pass_fn in self._pipeline:
-                if pass_fn(graph):
-                    stats.pass_hits[name] = stats.pass_hits.get(name, 0) + 1
-                    any_change = True
-            graph.validate()
-            if not any_change:
-                break
-        if self._enable_return_merging and merge_returns(graph):
-            stats.pass_hits["return-merging"] = 1
-            graph.validate()
-        stats.instructions_after = graph.instruction_count()
-        return stats
+def optimize(graph: HGraph) -> OptimizationStats:
+    """Run the pipeline over ``graph`` to a bounded fixed point, then
+    merge returns; returns the method's bookkeeping."""
+    stats = OptimizationStats(
+        method_name=graph.method_name,
+        instructions_before=graph.instruction_count(),
+    )
+    for _ in range(_MAX_ITERATIONS):
+        stats.iterations += 1
+        any_change = False
+        for name, pass_fn in _PIPELINE:
+            if pass_fn(graph):
+                stats.pass_hits[name] = stats.pass_hits.get(name, 0) + 1
+                any_change = True
+        graph.validate()
+        if not any_change:
+            break
+    if merge_returns(graph):
+        stats.pass_hits["return-merging"] = 1
+        graph.validate()
+    stats.instructions_after = graph.instruction_count()
+    return stats

@@ -1,5 +1,5 @@
 """Pipeline observability: spans, counters/gauges/histograms, trace
-reporters, the cross-build ledger and the regression differ.
+output, the cross-build ledger and the regression differ.
 
 See ``docs/observability.md`` for the reference of every span, counter,
 gauge, histogram, ledger field and Prometheus metric the pipeline
@@ -48,14 +48,7 @@ from repro.observability.trace import (
     uninstall_tracer,
 )
 from repro.observability.chrome import chrome_events, trace_to_chrome, write_chrome
-from repro.observability.report import (
-    JsonReporter,
-    Reporter,
-    TextReporter,
-    load_trace,
-    render_text,
-    write_json,
-)
+from repro.observability.report import load_trace, render_text, write_json
 from repro.observability.diff import (
     DEFAULT_THRESHOLD,
     Delta,
@@ -79,14 +72,11 @@ __all__ = [
     "DiffReport",
     "HISTOGRAM_BOUNDS",
     "Histogram",
-    "JsonReporter",
     "LEDGER_SCHEMA_VERSION",
     "LedgerEntry",
     "PromReporter",
-    "Reporter",
     "Span",
     "TRACE_SCHEMA_VERSION",
-    "TextReporter",
     "Trace",
     "TraceContext",
     "Tracer",

@@ -1,34 +1,18 @@
-"""Trace reporters: JSON persistence and the text phase tree.
+"""Trace output: JSON persistence and the text phase tree.
 
-A reporter consumes a finished :class:`~repro.observability.trace.Trace`.
-Two are provided — :class:`JsonReporter` (what ``calibro build
---trace out.json`` writes) and :class:`TextReporter` (what ``calibro
-trace out.json`` prints: a nested phase tree with durations and
-percentages, followed by the counter/gauge registries).  Anything with
-an ``emit(trace)`` method plugs in the same way.
+:func:`write_json` writes what ``calibro build --trace out.json``
+saves; :func:`render_text` renders what ``calibro trace out.json``
+prints: a nested phase tree with durations and percentages, followed
+by the counter/gauge registries.
 """
 
 from __future__ import annotations
 
 import json
-from typing import IO, Protocol
 
 from repro.observability.trace import Span, Trace
 
-__all__ = [
-    "JsonReporter",
-    "Reporter",
-    "TextReporter",
-    "load_trace",
-    "render_text",
-    "write_json",
-]
-
-
-class Reporter(Protocol):
-    """Anything that can consume a finished trace."""
-
-    def emit(self, trace: Trace) -> None: ...  # pragma: no cover - protocol
+__all__ = ["load_trace", "render_text", "write_json"]
 
 
 def write_json(trace: Trace, path: str) -> None:
@@ -42,27 +26,6 @@ def load_trace(path: str) -> Trace:
     """Load a trace previously written by :func:`write_json`."""
     with open(path, encoding="utf-8") as fh:
         return Trace.from_dict(json.load(fh))
-
-
-class JsonReporter:
-    """Writes the trace to a JSON file on :meth:`emit`."""
-
-    def __init__(self, path: str):
-        self.path = path
-
-    def emit(self, trace: Trace) -> None:
-        write_json(trace, self.path)
-
-
-class TextReporter:
-    """Prints the rendered phase tree on :meth:`emit`."""
-
-    def __init__(self, stream: IO[str] | None = None, counters: bool = True):
-        self.stream = stream
-        self.counters = counters
-
-    def emit(self, trace: Trace) -> None:
-        print(render_text(trace, counters=self.counters), file=self.stream)
 
 
 def _format_seconds(seconds: float) -> str:

@@ -19,9 +19,11 @@ instrumentation instead of ad-hoc ``time.perf_counter()`` bookkeeping:
 **The no-op fast path.**  Every module-level helper reads the thread
 overlay and one global (``_ACTIVE``) and returns a shared do-nothing
 object when no tracer is installed, so an instrumented call site costs
-about 250-320 ns when nobody is measuring — the figure ``benchmarks/
-bench_observability_overhead.py`` measures (per call through a lambda,
-on a 2-CPU x86-64 host) and records in its committed artifact.
+141 ns (``span()``) and 111 ns (``counter_add()``) when nobody is
+measuring — the figures in ``benchmarks/_artifacts/
+observability_overhead.txt``, which ``benchmarks/
+bench_observability_overhead.py`` writes (per call through a lambda,
+on a 2-CPU x86-64 host).
 
 Thread model: one *process-wide* tracer (``_ACTIVE``) with one span
 stack, plus an optional *thread-local* overlay

@@ -199,11 +199,6 @@ class BuildService:
         self.pool.close()
         self._closed = True
 
-    @property
-    def shard_executor(self) -> ShardExecutor | None:
-        """The service's executor when it shards (``shards >= 2``)."""
-        return self.pool if isinstance(self.pool, ShardExecutor) else None
-
     def flush_metrics(self) -> bool:
         """Refresh the Prometheus exposition file now (no-op without
         ``metrics_path`` or an active tracer).  Runs after every build
@@ -251,8 +246,8 @@ class BuildService:
         """Build one app through the shared pool and caches.
 
         ``phase_hook`` — a ``callable(phase: str)`` — fires as each
-        pipeline phase starts (``"dex2oat"``/``"ltbo"``/``"link"``, or
-        ``"graph.delta"`` on the incremental path): the mechanism
+        pipeline phase starts (``"dex2oat"``/``"ltbo"``/``"merge"``/
+        ``"link"``, or ``"graph.delta"`` on the incremental path): the mechanism
         behind the serve protocol's streamed ``progress`` events.
         """
         if self._closed:

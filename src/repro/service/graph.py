@@ -77,7 +77,6 @@ from repro.core.patterns import ThunkCache
 from repro.dex.method import DexFile, DexMethod
 from repro.dex.serialize import dexfile_to_json
 from repro.dex.verifier import verify_dexfile
-from repro.hgraph.passes import PassManager
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.pipeline import CalibroBuild, CalibroConfig
@@ -326,7 +325,6 @@ class BuildGraph:
         with obs.span("dex2oat.verify"):
             verify_dexfile(dexfile)
         methods = dexfile.all_methods()
-        manager = PassManager()
         entries: list[tuple] = []
         with obs.span("dex2oat.codegen"):
             for method_id, method in enumerate(methods):
@@ -335,7 +333,7 @@ class BuildGraph:
                 )
                 entry = previous.get(key)
                 if not _valid_method_entry(entry):
-                    entry = self._compile_method(method, method_id, config, manager)
+                    entry = self._compile_method(method, method_id, config)
                     delta.methods_rebuilt += 1
                 else:
                     delta.methods_reused += 1
@@ -356,13 +354,12 @@ class BuildGraph:
         method: DexMethod,
         method_id: int,
         config: "CalibroConfig",
-        manager: PassManager,
     ) -> tuple[CompiledMethod, ThunkCache | None, int, int]:
         """Execute one method node with ``dex2oat``'s own per-method
         step (:func:`~repro.compiler.driver.compile_method`), against
         the node's own thunk cache."""
         thunks = ThunkCache() if config.cto_enabled else None
-        compiled, before, after = compile_method(method, method_id, thunks, manager)
+        compiled, before, after = compile_method(method, method_id, thunks)
         return compiled, thunks, before, after
 
     # -- the full delta build ------------------------------------------------

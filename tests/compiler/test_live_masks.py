@@ -9,7 +9,7 @@ from repro.dex import DexClass, DexFile, MethodBuilder
 
 def _compile(methods) -> dict:
     dex = DexFile(classes=[DexClass("LT;", [m.build() for m in methods])])
-    result = dex2oat(dex, verify=False)
+    result = dex2oat(dex)
     return {m.name: m for m in result.methods}
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from repro.compiler import CompilationPackage
 from repro.core import CalibroConfig, build_app, compile_stage, link_stage, outline_stage
+from repro.profiling import profile_app
 
 
 @pytest.fixture(scope="module")
@@ -53,14 +54,45 @@ def test_annotations_carry_provenance(package):
     assert package.annotations["ir_instructions_after"] > 0
 
 
-def test_staged_equals_inprocess(small_app, package):
+@pytest.fixture(scope="module")
+def hot_filter(small_app, baseline_build):
+    report = profile_app(
+        baseline_build.oat, small_app.dexfile, small_app.ui_script,
+        native_handlers=small_app.native_handlers,
+    )
+    return report.hot_filter(0.80)
+
+
+@pytest.mark.parametrize(
+    "groups, hot, min_length, min_saved, seed",
+    [
+        (2, False, 2, 1, 0),
+        (1, False, 2, 1, 0),
+        (4, True, 2, 1, 3),
+        (8, True, 3, 2, 5),
+        (2, False, 4, 3, 1),
+    ],
+    ids=["groups2", "groups1", "groups4-hot", "groups8-hot-min3", "groups2-min4"],
+)
+def test_staged_equals_inprocess(
+    small_app, package, hot_filter, groups, hot, min_length, min_saved, seed
+):
     """compile→outline→link through packages must produce the identical
-    image as the fused build_app pipeline."""
-    outlined = outline_stage(package, groups=2)
+    image as the fused build_app pipeline, under every option
+    ``outline_stage`` forwards to the config it builds."""
+    hot_filter = hot_filter if hot else None
+    outlined = outline_stage(
+        package, groups=groups, hot_filter=hot_filter, min_length=min_length,
+        min_saved=min_saved, seed=seed,
+    )
     oat = link_stage(outlined)
     ref = build_app(
         small_app.dexfile,
-        CalibroConfig(cto_enabled=True, ltbo_enabled=True, parallel_groups=2),
+        CalibroConfig(
+            cto_enabled=True, ltbo_enabled=True, parallel_groups=groups,
+            hot_filter=hot_filter, min_length=min_length, min_saved=min_saved,
+            partition_seed=seed,
+        ),
     )
     assert oat.text == ref.oat.text
     assert oat.data == ref.oat.data

@@ -108,6 +108,20 @@ class TestConfigRoundTrip:
         data = CalibroConfig().to_dict()
         assert "engine" not in data and "size_passes" not in data
 
+    @pytest.mark.parametrize("data", [
+        {"parallel_groups": "8"},
+        {"parallel_groups": 2.5},
+        {"parallel_groups": True},
+        {"merging": "yes"},
+        {"hot_filter": {"hot_names": "LMain;->run"}},
+    ], ids=["str", "float", "bool", "str-flag", "str-hot-names"])
+    def test_wrong_value_type_is_a_config_error(self, data):
+        """A value of the wrong type is refused up front, naming its
+        field, not left to fail (or silently pass) inside a build."""
+        [field] = data
+        with pytest.raises(ConfigError, match=field):
+            CalibroConfig.from_dict(data)
+
     def test_unknown_engine_in_dict_is_a_config_error(self):
         """A --config file that still names an engine must surface as
         ConfigError (exit code 2): ``engine`` is an unknown key now."""

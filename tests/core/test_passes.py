@@ -1,47 +1,39 @@
-"""The pass table and the config's derived pass list."""
+"""Which size-reduction stages a config runs: LTBO with
+``ltbo_enabled``, global function merging with ``merging``."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core import CalibroConfig
+from repro.core import CalibroConfig, build_app
 from repro.core.errors import ConfigError
-from repro.core.passes import (
-    PASSES,
-    MergePass,
-    OutlinePass,
-    PassContext,
-    PassState,
-)
+from repro.workloads import app_spec, generate_app
 
 
-class TestRegistry:
-    def test_builtin_passes_satisfy_the_protocol(self):
-        # The shape ``_run_passes`` relies on: a name, a phase, run().
-        for name, cls in PASSES.items():
-            instance = cls()
-            assert instance.name == name
-            assert instance.phase
-            assert callable(instance.run)
-
-    def test_registry_order_is_pipeline_order(self):
-        assert tuple(PASSES) == ("outline", "merge")
-        assert PASSES["outline"] is OutlinePass
-        assert PASSES["merge"] is MergePass
+@pytest.fixture(scope="module")
+def dexfile():
+    return generate_app(app_spec("Taobao", scale=0.08)).dexfile
 
 
 class TestConfigPassList:
-    def test_derived_pass_lists(self):
-        assert CalibroConfig.baseline().passes == ()
-        assert CalibroConfig.cto().passes == ()
-        assert CalibroConfig.cto_ltbo().passes == ("outline",)
-        assert CalibroConfig.cto_ltbo_plopti(2).with_merging().passes == (
-            "outline",
-            "merge",
-        )
-
-    def test_merging_alone_runs_only_the_merge_pass(self):
-        assert CalibroConfig(merging=True).passes == ("merge",)
+    @pytest.mark.parametrize(
+        "config, ltbo, merge",
+        [
+            (CalibroConfig.baseline(), False, False),
+            (CalibroConfig.cto(), False, False),
+            (CalibroConfig.cto_ltbo(), True, False),
+            (CalibroConfig.cto_ltbo_plopti(2).with_merging(), True, True),
+            (CalibroConfig(merging=True), False, True),
+        ],
+        ids=["baseline", "cto", "cto_ltbo", "plopti_merge", "merging_only"],
+    )
+    def test_derived_pass_lists(self, dexfile, config, ltbo, merge):
+        build = build_app(dexfile, config)
+        assert (build.ltbo is not None) == ltbo
+        assert (build.merge is not None) == merge
+        assert (build.trace.find("build.ltbo") is not None) == ltbo
+        assert (build.trace.find("build.merge") is not None) == merge
+        assert build.summary()["merging"] is merge
 
     def test_with_merging_sets_flag_and_extends_name(self):
         config = CalibroConfig.cto_ltbo_plopti(4).with_merging()
@@ -54,18 +46,8 @@ class TestConfigPassList:
         )
         again = CalibroConfig.from_dict(config.to_dict())
         assert again.merging is True
-        assert again.passes == ("outline", "merge")
-        # The pass list is derived only: an explicit override is an
+        assert again.ltbo_enabled is True
+        # The stages follow the flags only: an explicit pass list is an
         # unknown config key.
         with pytest.raises(ConfigError, match="unknown config keys: size_passes"):
             CalibroConfig.from_dict({**config.to_dict(), "size_passes": ["merge"]})
-
-
-class TestPipelineIntegration:
-    def test_pass_state_starts_empty(self):
-        state = PassState(methods=[])
-        assert state.aliases == {}
-        assert state.selection is None and state.ltbo is None
-        assert state.merge is None
-        context = PassContext()
-        assert context.cache is None and context.pool is None

@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 
 from repro.dex import DexClass, DexFile, Interpreter, MethodBuilder
-from repro.hgraph import build_hgraph, PassManager
+from repro.hgraph import build_hgraph, optimize
 from repro.hgraph.passes import (
     eliminate_dead_code,
     fold_constants,
@@ -227,7 +227,7 @@ class TestSemanticPreservation:
         b.ret(6)
         g = build_hgraph(b.build())
         before = g.instruction_count()
-        stats = PassManager().run(g)
+        stats = optimize(g)
         assert stats.instructions_after <= before
         assert stats.iterations >= 1
         g.validate()

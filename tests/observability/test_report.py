@@ -1,5 +1,5 @@
-"""Reporters: JSON persistence and the text phase tree, including the
-round trip through the ``calibro trace`` subcommand."""
+"""Trace output: JSON persistence and the text phase tree, including
+the round trip through the ``calibro trace`` subcommand."""
 
 from __future__ import annotations
 
@@ -9,11 +9,9 @@ import pytest
 
 from repro.cli import main
 from repro.observability import (
-    JsonReporter,
     TRACE_SCHEMA_VERSION,
     Span,
     Trace,
-    TextReporter,
     load_trace,
     render_text,
     write_json,
@@ -52,7 +50,7 @@ def test_json_round_trip(tmp_path, trace):
 
 def test_json_reporter_emits_versioned_document(tmp_path, trace):
     path = tmp_path / "t.json"
-    JsonReporter(str(path)).emit(trace)
+    write_json(trace, str(path))
     data = json.loads(path.read_text())
     assert data["version"] == TRACE_SCHEMA_VERSION
     assert data["counters"]["ltbo.bytes_saved"] == 12345
@@ -78,11 +76,6 @@ def test_render_text_without_counters(trace):
 
 def test_render_text_empty_trace():
     assert "(no spans recorded)" in render_text(Trace())
-
-
-def test_text_reporter_writes_to_stream(trace, capsys):
-    TextReporter().emit(trace)
-    assert "build.dex2oat" in capsys.readouterr().out
 
 
 def test_cli_trace_round_trip(tmp_path, trace, capsys):

@@ -88,6 +88,15 @@ def test_unknown_config_key_maps_to_exit_code_2(tmp_path, dex_json, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
+def test_wrong_config_type_before_listening_is_one_error_line(tmp_path, capsys):
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps({"parallel_groups": "8"}))
+    rc = main(["serve", "--config", str(config), "--listen", str(tmp_path / "s.sock")])
+    assert rc == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and "parallel_groups" in line
+
+
 def test_serve_max_concurrent_defaults_to_bounded_executor_width():
     # The front door's executor is bounded at min(4, usable cpus) by
     # default — one core serializes, a many-core host still caps at 4 so

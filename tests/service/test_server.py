@@ -27,6 +27,7 @@ import pytest
 from repro import observability as obs
 from repro.core.errors import ConfigError, ServiceError
 from repro.core.pipeline import CalibroConfig
+from repro.dex.serialize import dexfile_to_json
 from repro.oat.oatfile import OatFile
 from repro.service import (
     AsyncBuildServer,
@@ -300,6 +301,36 @@ def test_serve_site_error_becomes_structured_response(dexfiles):
     assert status["service"]["builds"] == 1  # the failed build never ran
 
 
+# -- progress events ----------------------------------------------------------
+
+
+#: Each config with the phases its served build streams, in order.
+PHASES = [
+    (CalibroConfig.cto_ltbo_plopti(2).with_merging(),
+     ["started", "dex2oat", "ltbo", "merge", "link"]),
+    (CalibroConfig.baseline(), ["started", "dex2oat", "link"]),
+    (CalibroConfig.cto_ltbo(), ["started", "dex2oat", "ltbo", "link"]),
+]
+
+
+@pytest.mark.parametrize("incremental", [False, True], ids=["batch", "incremental"])
+def test_progress_events_name_each_phase(dexfiles, tmp_path, incremental):
+    """A build streams one ``progress`` event per phase it runs; an
+    incremental build reports its graph walk as one phase."""
+    service = BuildService(ServiceConfig(cache_dir=tmp_path, incremental=incremental))
+    with _front_door(service) as (server, sock):
+        client = CalibroClient(sock, timeout=60.0)
+        phases = [
+            client.build(dexfiles["a"], config, label="a", want_oat=False).phases
+            for config, _expected in PHASES
+        ]
+    service.close()
+    if incremental:
+        assert phases == [["started", "graph.delta"]] * len(PHASES)
+    else:
+        assert phases == [expected for _config, expected in PHASES]
+
+
 # -- wire-level behaviour -----------------------------------------------------
 
 
@@ -341,6 +372,24 @@ def test_malformed_frames_get_protocol_errors():
     service.close()
     assert all(r["event"] == "error" and r["code"] == "protocol"
                for r in responses)
+
+
+def test_wrong_config_type_is_a_bad_request(dexfiles):
+    """A config value of the wrong type is refused at admission, so the
+    build is never accepted and never fails inside the pipeline."""
+    service = BuildService(ServiceConfig())
+    request = {
+        "op": "build", "v": PROTOCOL_VERSION,
+        "dex": dexfile_to_json(dexfiles["a"]),
+        "config": {**CONFIG.to_dict(), "parallel_groups": 2.5},
+    }
+    with _front_door(service) as (server, sock):
+        [response] = _raw_exchange(sock, [json.dumps(request).encode() + b"\n"])
+        status = CalibroClient(sock, timeout=10.0).status()
+    service.close()
+    assert response["event"] == "error" and response["code"] == "bad-request"
+    assert "parallel_groups" in response["message"]
+    assert status["accepted"] == 0
 
 
 def test_unknown_cancel_target_is_an_error():
