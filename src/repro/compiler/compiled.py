@@ -11,7 +11,9 @@ tractable.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.compiler.stackmap import StackMapTable
 from repro.core.metadata import MethodMetadata
@@ -81,3 +83,24 @@ class CompiledMethod:
     @property
     def size(self) -> int:
         return len(self.code)
+
+    @cached_property
+    def fingerprint(self) -> bytes:
+        """SHA-256 over every field: the code bytes (length-prefixed),
+        then the ``repr`` of the name, frame size, callees, relocations,
+        metadata and StackMaps.  Those are dataclasses, lists and
+        tuples of ints, strings and bools, so the ``repr`` is
+        deterministic across processes and names every field.
+
+        The content key of a compiled method, for the outline cache's
+        group keys and the merge node key.  Computed once per object:
+        a compiled method is never mutated once codegen returns (a
+        rewrite builds a new one), and a pickle taken afterwards
+        carries the digest along."""
+        h = hashlib.sha256(len(self.code).to_bytes(8, "little"))
+        h.update(self.code)
+        h.update(repr((
+            self.name, self.frame_size, self.callees,
+            self.relocations, self.metadata, self.stackmaps,
+        )).encode("utf-8"))
+        return h.digest()

@@ -73,7 +73,9 @@ __all__ = [
 
 #: Version of the merge plan / node-key derivation.  Bump when the
 #: merge algorithm, the plan shape or the key material changes.
-_PLAN_VERSION = 1
+#: v2: the key hashes each method's fingerprint (metadata and callees
+#: included).
+_PLAN_VERSION = 2
 
 #: Intra-procedure scratch registers (AArch64 IP0/IP1) carrying the
 #: parameterized immediates from a thunk into the merged body; their
@@ -170,24 +172,15 @@ def merge_node_key(
     symbol_prefix: str = MERGE_PREFIX,
 ) -> str:
     """Content key of one merge node: every input that can change the
-    plan — method bodies, relocations, side tables, thresholds."""
-    h = hashlib.sha256()
-    h.update(
-        f"merge:v{_PLAN_VERSION}:{min_saved}:{len(_PARAM_REGS)}:"
-        f"{symbol_prefix}:".encode("utf-8")
-    )
-    h.update(",".join(sorted(hot_names)).encode("utf-8"))
+    plan — the thresholds, the symbol prefix, the sorted hot set, then
+    each method's :attr:`~repro.compiler.compiled.CompiledMethod.
+    fingerprint` (its code, relocations, metadata, StackMaps, frame
+    size and callees), in order."""
+    h = hashlib.sha256(repr((
+        _PLAN_VERSION, min_saved, len(_PARAM_REGS), symbol_prefix, sorted(hot_names)
+    )).encode("utf-8"))
     for method in methods:
-        h.update(b"\x00")
-        h.update(method.name.encode("utf-8"))
-        h.update(b"\x01")
-        h.update(method.code)
-        h.update(repr(method.relocations).encode("utf-8"))
-        h.update(str(method.frame_size).encode("utf-8"))
-        if method.stackmaps is not None:
-            h.update(repr(method.stackmaps.entries).encode("utf-8"))
-        if method.metadata is not None:
-            h.update(b"n" if method.metadata.is_native else b"-")
+        h.update(method.fingerprint)
     return f"merge:{h.hexdigest()}"
 
 

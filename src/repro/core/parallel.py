@@ -19,9 +19,8 @@ Two optional collaborators extend this for the build service
 service layer:
 
 * ``cache`` — an outline cache with ``group_key(payload)``,
-  ``lookup_chunk(key, prefix)`` and ``store_chunk(key, prefix, result)``;
-  cached groups skip the mining work entirely (see
-  :class:`repro.service.OutlineCache`);
+  ``lookup_chunk(key)`` and ``store_chunk(key, result)``; cached groups
+  skip the mining work entirely (see :class:`repro.service.OutlineCache`);
 * ``pool`` — an executor with ``map_groups(worker, payloads)`` and a
   ``stats.width``; used instead of
   :func:`repro.suffixtree.parallel.map_over_groups` (see
@@ -150,8 +149,8 @@ def outline_partitioned(
             # node bookkeeping (via ``group_keys`` on the result).
             keys = [cache.group_key(p) for p in payloads]
             misses = []
-            for index, payload in enumerate(payloads):
-                hit = cache.lookup_chunk(keys[index], payload[5])
+            for index, key in enumerate(keys):
+                hit = cache.lookup_chunk(key)
                 if hit is not None:
                     results[index] = hit
                 else:
@@ -170,7 +169,7 @@ def outline_partitioned(
             for index, result in zip(misses, computed):
                 results[index] = result
                 if cache is not None:
-                    cache.store_chunk(keys[index], payloads[index][5], result)
+                    cache.store_chunk(keys[index], result)
     miss_set = set(misses)
     combined = ParallelOutlineResult(
         rewritten={},

@@ -72,12 +72,9 @@ def _instr_from_json(entry: list[Any]) -> bc.Instruction:
 
 
 def method_to_json(method: DexMethod) -> dict[str, Any]:
-    """One method's JSON shape (every field that drives compilation).
-
-    Besides the file format, this is the content a build-graph method
-    node hashes (:mod:`repro.service.graph`): two methods with equal
-    ``method_to_json`` documents compile to identical bytes.
-    """
+    """One method's JSON shape (every field that drives compilation):
+    two methods with equal ``method_to_json`` documents compile to
+    identical bytes."""
     return {
         "name": method.name,
         "num_registers": method.num_registers,

@@ -2,21 +2,22 @@
 
 ``outline_group`` is a pure function of its payload: the candidate
 methods (code bytes, relocations, metadata, StackMaps), the hot-method
-mask restricted to those methods, and the ``min_length`` /
-``max_length`` / ``min_saved`` thresholds.  The cache therefore keys
-each group result on a SHA-256 over exactly those inputs — unchanged
-methods across rebuilds, and identical method groups across different
-apps in a batch, hit the cache instead of being mined again.
+mask restricted to those methods, the ``min_length`` / ``max_length`` /
+``min_saved`` thresholds and the symbol prefix that names its outlined
+functions.  The cache therefore keys each group result on a SHA-256
+over exactly those inputs — unchanged methods across rebuilds, and
+identical method groups across different apps in a batch, hit the
+cache instead of being mined again.
 
 Key properties:
 
-* **Content addressing.**  The key hashes every field that can affect
-  the result (per-method fingerprints include the full side tables, not
-  just instruction bytes, because rewritten methods embed them).  The
-  partition's ``symbol_prefix`` is deliberately *excluded*: results are
-  stored with the prefix they were computed under and re-branded on a
-  hit, so the same group content shared between, say, round 0 and a
-  different partition index still hits.
+* **Content addressing.**  The key hashes every input that can affect
+  the result: each method enters as its
+  :attr:`~repro.compiler.compiled.CompiledMethod.fingerprint`, which
+  covers the full side tables, not just instruction bytes, because
+  rewritten methods embed them.  The symbol prefix is key material too,
+  so a hit is exactly the result a fresh ``outline_group`` call would
+  return, and it is returned as stored.
 * **Two tiers.**  A bounded in-memory LRU (``memory_entries``) fronts
   an optional on-disk store (``directory``): one file per entry,
   sharded by the first two hex digits of the key, written atomically.
@@ -58,13 +59,11 @@ import os
 import pickle
 import threading
 import time
-import weakref
 from collections import OrderedDict
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro import observability as obs
-from repro.compiler.compiled import CompiledMethod
 from repro.core.errors import ServiceError
 from repro.core.outline import GroupOutlineResult
 from repro.service import faults
@@ -77,7 +76,9 @@ __all__ = ["CacheStats", "OutlineCache"]
 #: v3: the store also holds merge plans (:mod:`repro.core.merge`) and
 #: configs carry the merging-pass fields in their key material.
 #: v4: the engine name left the payload again (one miner remains).
-_FORMAT_VERSION = 4
+#: v5: group keys hash method fingerprints and the symbol prefix, and a
+#: chunk entry is the bare ``GroupOutlineResult``.
+_FORMAT_VERSION = 5
 
 #: Default disk budget: plenty for a CI fleet of generated apps while
 #: still exercising eviction in long batch runs.
@@ -127,173 +128,6 @@ def _stale_tmp_cutoff() -> float:
     """Stage files last modified before this are crashed writers'
     orphans (see :data:`_TMP_MAX_AGE_SECONDS`)."""
     return time.time() - _TMP_MAX_AGE_SECONDS
-
-
-def _hash_int(h, value: int) -> None:
-    h.update(value.to_bytes(8, "little", signed=True))
-
-
-def _hash_str(h, value: str) -> None:
-    raw = value.encode("utf-8")
-    _hash_int(h, len(raw))
-    h.update(raw)
-
-
-def _hash_method(h, method: CompiledMethod) -> None:
-    """Feed every result-affecting field of one method into ``h``.
-
-    The byte stream per method is memoized (keyed by object identity,
-    evicted by a weakref finalizer) — an incremental build fingerprints
-    the same spliced :class:`CompiledMethod` objects build after build,
-    and the field walk was a measurable slice of the delta wall time.
-    Sound because compiled methods are immutable by convention once
-    codegen returns; the memo replays the *exact* byte sequence the
-    walk would produce, so keys are unchanged.
-    """
-    ident = id(method)
-    stream = _method_stream_memo.get(ident)
-    if stream is None:
-        sink = _ByteSink()
-        _hash_method_fields(sink, method)
-        stream = sink.getvalue()
-        _method_stream_memo[ident] = stream
-        weakref.finalize(method, _method_stream_memo.pop, ident, None)
-    h.update(stream)
-
-
-_method_stream_memo: dict[int, bytes] = {}
-
-
-class _ByteSink:
-    """Duck-typed hash target that records the update stream."""
-
-    __slots__ = ("_parts",)
-
-    def __init__(self) -> None:
-        self._parts: list[bytes] = []
-
-    def update(self, raw) -> None:
-        self._parts.append(bytes(raw))
-
-    def getvalue(self) -> bytes:
-        return b"".join(self._parts)
-
-
-def _hash_method_fields(h, method: CompiledMethod) -> None:
-    """The full field walk behind :func:`_hash_method`.
-
-    The rewritten method a cached result carries reproduces the input
-    method's name, relocations, metadata, StackMaps, frame size and
-    callees — so all of them are key material, not just the code.
-    """
-    _hash_str(h, method.name)
-    _hash_int(h, len(method.code))
-    h.update(method.code)
-    _hash_int(h, method.frame_size)
-    _hash_int(h, len(method.callees))
-    for callee in method.callees:
-        _hash_str(h, callee)
-    _hash_int(h, len(method.relocations))
-    for reloc in method.relocations:
-        _hash_int(h, reloc.offset)
-        _hash_str(h, reloc.kind)
-        _hash_str(h, reloc.symbol)
-        _hash_int(h, reloc.addend)
-    meta = method.metadata
-    if meta is None:
-        _hash_int(h, -1)
-    else:
-        _hash_int(h, meta.code_size)
-        _hash_int(h, 2 if meta.has_indirect_jump else 0)
-        _hash_int(h, 2 if meta.is_native else 0)
-        _hash_int(h, len(meta.embedded_data))
-        for extent in meta.embedded_data:
-            _hash_int(h, extent.start)
-            _hash_int(h, extent.size)
-        _hash_int(h, len(meta.pc_relative))
-        for ref in meta.pc_relative:
-            _hash_int(h, ref.offset)
-            _hash_int(h, ref.target)
-        _hash_int(h, len(meta.terminators))
-        for off in meta.terminators:
-            _hash_int(h, off)
-        _hash_int(h, len(meta.slowpaths))
-        for slow in meta.slowpaths:
-            _hash_int(h, slow.start)
-            _hash_int(h, slow.end)
-    maps = method.stackmaps
-    if maps is None:
-        _hash_int(h, -1)
-    else:
-        _hash_int(h, len(maps.entries))
-        for entry in maps.entries:
-            _hash_int(h, entry.native_pc)
-            _hash_int(h, entry.dex_pc)
-            _hash_int(h, entry.live_vregs)
-            _hash_str(h, entry.kind)
-
-
-def _rebrand_name(name: str, old: str, new: str) -> str:
-    return new + name[len(old):] if name.startswith(old) else name
-
-
-def _rebrand_method(method: CompiledMethod, old: str, new: str) -> CompiledMethod:
-    """Rename every occurrence of the outlined-function prefix inside one
-    method (its own name, its relocation targets, its callees)."""
-    changed = False
-    name = _rebrand_name(method.name, old, new)
-    changed |= name != method.name
-    relocations = []
-    for reloc in method.relocations:
-        symbol = _rebrand_name(reloc.symbol, old, new)
-        changed |= symbol != reloc.symbol
-        relocations.append(dc_replace(reloc, symbol=symbol) if symbol != reloc.symbol else reloc)
-    callees = tuple(_rebrand_name(c, old, new) for c in method.callees)
-    changed |= callees != method.callees
-    metadata = method.metadata
-    if metadata is not None and metadata.method_name != name:
-        metadata = dc_replace(metadata, method_name=name)
-        changed = True
-    stackmaps = method.stackmaps
-    if stackmaps is not None and stackmaps.method_name != name:
-        stackmaps = dc_replace(stackmaps, method_name=name)
-        changed = True
-    if not changed:
-        return method
-    return CompiledMethod(
-        name=name,
-        code=method.code,
-        relocations=relocations,
-        metadata=metadata,
-        stackmaps=stackmaps,
-        frame_size=method.frame_size,
-        callees=callees,
-    )
-
-
-def _rebrand_result(
-    result: GroupOutlineResult, old_prefix: str, new_prefix: str
-) -> GroupOutlineResult:
-    """Re-render a cached result under a different symbol prefix.
-
-    Outlined-function names are ``f"{prefix}${index}"`` with the index
-    assigned in deterministic decision order, so a pure prefix swap
-    reproduces exactly what a fresh ``outline_group`` call with the new
-    prefix would have emitted.
-    """
-    if old_prefix == new_prefix:
-        return result
-    old, new = old_prefix + "$", new_prefix + "$"
-    return GroupOutlineResult(
-        rewritten={
-            index: _rebrand_method(m, old, new) for index, m in result.rewritten.items()
-        },
-        outlined=[_rebrand_method(m, old, new) for m in result.outlined],
-        stats=result.stats,
-        decisions=[
-            dc_replace(d, name=_rebrand_name(d.name, old, new)) for d in result.decisions
-        ],
-    )
 
 
 @dataclass
@@ -382,50 +216,36 @@ class OutlineCache:
     @staticmethod
     def group_key(payload) -> str:
         """The content address of one outline payload (see
-        :data:`repro.core.parallel.OutlinePayload`); the symbol prefix is
-        excluded — see the module docstring.
+        :data:`repro.core.parallel.OutlinePayload`): the thresholds, the
+        symbol prefix, and each candidate's index, hot bit and
+        fingerprint.
 
         This key doubles as the **chunk node key** in the build
         dependency graph (:mod:`repro.service.graph`): a group node
         whose key is unchanged splices its outlined chunk from here
         instead of re-mining.
         """
-        candidates, hot_names, min_length, max_length, min_saved, _prefix = payload
-        h = hashlib.sha256()
-        _hash_int(h, _FORMAT_VERSION)
-        _hash_int(h, min_length)
-        _hash_int(h, max_length)
-        _hash_int(h, min_saved)
-        _hash_int(h, len(candidates))
+        candidates, hot_names, min_length, max_length, min_saved, prefix = payload
+        h = hashlib.sha256(
+            repr((_FORMAT_VERSION, min_length, max_length, min_saved, prefix))
+            .encode("utf-8")
+        )
         for index, method in candidates:
-            _hash_int(h, index)
-            _hash_int(h, 1 if method.name in hot_names else 0)
-            _hash_method(h, method)
+            h.update(b"%d:%d:" % (index, method.name in hot_names))
+            h.update(method.fingerprint)
         return h.hexdigest()
 
     # -- chunk access by node key (the build-graph splice path) -------------
 
-    def lookup_chunk(self, key: str, prefix: str) -> GroupOutlineResult | None:
-        """Fetch an outlined chunk by its graph node key, re-branded to
-        ``prefix``.
+    def lookup_chunk(self, key: str) -> GroupOutlineResult | None:
+        """Fetch an outlined chunk by its group key; ``None`` on a miss
+        or when the entry under the key is not a chunk."""
+        chunk = self._get(key)
+        return chunk if isinstance(chunk, GroupOutlineResult) else None
 
-        Chunks are stored under the prefix they were *computed* with,
-        which is excluded from the key — so every keyed access (the
-        supervisor's pre-dispatch lookup and graph nodes splicing cached
-        chunks alike) re-brands on the way out.  Returning the stored
-        tuple unrebranded would leak another build's symbol prefix into
-        this build's OAT image.
-        """
-        entry = self._get(key)
-        if entry is None:
-            return None
-        stored_prefix, result = entry
-        return _rebrand_result(result, stored_prefix, prefix)
-
-    def store_chunk(self, key: str, prefix: str, result: GroupOutlineResult) -> None:
-        """Store an outlined chunk under its graph node key, remembering
-        the symbol prefix it was computed with (the re-brand origin)."""
-        self._put(key, (prefix, result))
+    def store_chunk(self, key: str, result: GroupOutlineResult) -> None:
+        """Store an outlined chunk under its group key."""
+        self._put(key, result)
 
     # -- generic content-addressed objects ----------------------------------
 

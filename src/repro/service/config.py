@@ -71,8 +71,19 @@ class ServiceConfig:
     def __post_init__(self) -> None:
         for name in ("cache_dir", "ledger", "metrics_path"):
             value = getattr(self, name)
-            if value is not None and not isinstance(value, str):
-                object.__setattr__(self, name, os.fspath(value))
+            if value is None or isinstance(value, str):
+                continue
+            if not isinstance(value, os.PathLike):
+                raise ConfigError(f"{name} must be a path or None, got {value!r}")
+            object.__setattr__(self, name, os.fspath(value))
+        for name in ("cache_max_bytes", "max_workers", "shards"):
+            value = getattr(self, name)
+            if value is None and name != "cache_max_bytes":
+                continue
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{name} must be an int, got {value!r}")
+        if not isinstance(self.incremental, bool):
+            raise ConfigError(f"incremental must be a bool, got {self.incremental!r}")
         if self.cache_max_bytes < 1:
             raise ConfigError(
                 f"cache_max_bytes must be >= 1, got {self.cache_max_bytes}"

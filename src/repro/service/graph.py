@@ -16,8 +16,8 @@ one artifact namespace.
 Node kinds and their keys:
 
 * **method** — one compiled method.  Key: :func:`method_node_key`
-  (the method's JSON document + the CTO flag; native methods also key
-  on their ``method_id`` because the JNI stub embeds it).  Sound
+  (the method's dataclass ``repr`` + the CTO flag; native methods also
+  key on their ``method_id`` because the JNI stub embeds it).  Sound
   because methods compile independently (the paper's own design) and
   CTO thunk labels are content-deterministic — per-method thunk caches
   merge into exactly the shared cache a whole-dex run builds
@@ -27,8 +27,9 @@ Node kinds and their keys:
 * **dex** — the whole-dex compile, used instead of method nodes when
   ``config.inlining`` is on (the inliner resolves callees across
   method graphs, so per-method reuse would be unsound).  Key:
-  :func:`dex_node_key` — shared verbatim with the batch service's
-  compile cache.
+  :func:`dex_node_key` (the dex file's dataclass ``repr`` + the CTO and
+  inlining flags) — shared verbatim with the batch service's compile
+  cache.
 * **group** — one PlOpti partition's outlined chunk.  Key:
   :meth:`OutlineCache.group_key` (computed inside
   :func:`~repro.core.parallel.outline_partitioned`, which already
@@ -75,7 +76,6 @@ from repro.compiler.driver import (
 )
 from repro.core.patterns import ThunkCache
 from repro.dex.method import DexFile, DexMethod
-from repro.dex.serialize import dexfile_to_json
 from repro.dex.verifier import verify_dexfile
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -96,12 +96,16 @@ __all__ = [
 #: v2: hashes the method's ``repr`` document instead of its JSON one
 #: (same content coverage — every instruction field appears in the
 #: dataclass repr — at a fraction of the serialization cost).
-_METHOD_KEY_VERSION = 2
+#: v3: hashes ``repr(method)`` whole, the document ``dex_node_key``
+#: hashes for each method too.
+_METHOD_KEY_VERSION = 3
 
 
 def config_fingerprint(config: "CalibroConfig") -> str:
     """SHA-256 over the config's canonical JSON — two configs with equal
-    fingerprints drive byte-identical builds of the same input."""
+    fingerprints drive byte-identical builds of the same input.  Not
+    the ``repr``: a config holds a frozenset of hot names, whose
+    ``repr`` order depends on the process's hash seed."""
     canonical = json.dumps(config.to_dict(), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
@@ -109,51 +113,42 @@ def config_fingerprint(config: "CalibroConfig") -> str:
 def method_node_key(method: DexMethod, *, cto: bool, method_id: int) -> str:
     """Content key of one compiled-method node.
 
-    Hashes the method's full JSON document plus the CTO flag.  Native
-    methods additionally key on ``method_id`` — the JNI stub embeds its
-    own id (``mov x17, #id``), so an unchanged native method that
-    *moved* in the method table still compiles to different bytes.
-    Non-native methods are position-independent (calls relocate by
-    symbol name) and deliberately exclude the id, so insertions above
-    them do not invalidate their nodes.
+    Hashes the CTO flag and ``repr(method)``.  Native methods
+    additionally key on ``method_id`` — the JNI stub embeds its own id
+    (``mov x17, #id``), so an unchanged native method that *moved* in
+    the method table still compiles to different bytes.  Non-native
+    methods are position-independent (calls relocate by symbol name)
+    and deliberately exclude the id, so insertions above them do not
+    invalidate their nodes.
 
-    The document hashed is the method header plus the dataclass
-    ``repr`` of its instruction list — instructions are flat frozen
-    dataclasses of ints/strings/tuples, so the repr is deterministic
-    and names every field, with the same content coverage as
-    :func:`~repro.dex.serialize.method_to_json` at a fraction of the
-    cost (this runs for every method on every delta build).
+    A dex method and its instructions are dataclasses of ints, strings,
+    bools and tuples, so the ``repr`` is deterministic and names every
+    field that drives compilation, at a fraction of the cost of a JSON
+    document (this runs for every method on every delta build).
     """
     h = hashlib.sha256()
     h.update(f"graph-method:v{_METHOD_KEY_VERSION}:".encode("utf-8"))
     h.update(b"cto:" if cto else b"-:")
     if method.is_native:
         h.update(f"id={method_id}:".encode("utf-8"))
-    header = (
-        f"{method.name}|{method.num_registers}|{method.num_inputs}"
-        f"|{method.is_native}|{method.returns_value}|"
-    )
-    h.update(header.encode("utf-8"))
-    h.update(repr(method.code).encode("utf-8"))
+    h.update(repr(method).encode("utf-8"))
     return f"method:{h.hexdigest()}"
 
 
 def dex_node_key(dexfile: DexFile, config: "CalibroConfig") -> str:
-    """Content key of the whole-dex compile node: the full dex document
-    plus the flags that shape compilation.
+    """Content key of the whole-dex compile node: the flags that shape
+    compilation plus ``repr(dexfile)`` — its string table, classes and
+    every method, in order, as :func:`method_node_key` documents them.
 
     This is also the batch service's compile-cache key, so incremental
     and non-incremental builds share whole-dex compile artifacts
     (:func:`compile_dex_node`).
     """
     h = hashlib.sha256()
-    h.update(b"compile:v1:")
+    h.update(b"compile:v2:")
     h.update(b"cto" if config.cto_enabled else b"-")
     h.update(b"inline" if config.inlining else b"-")
-    h.update(
-        json.dumps(dexfile_to_json(dexfile), sort_keys=True, separators=(",", ":"))
-        .encode("utf-8")
-    )
+    h.update(repr(dexfile).encode("utf-8"))
     return f"compile:{h.hexdigest()}"
 
 

@@ -336,8 +336,14 @@ class AsyncBuildServer:
                     break
         except (ConnectionResetError, BrokenPipeError):
             pass
+        except asyncio.CancelledError:
+            # The server stopped with this client still connected, and
+            # the loop cancels the handler (here or while it closes the
+            # writer below): end normally, or the stream protocol's
+            # done-callback logs the cancellation as an error.
+            pass
         finally:
-            with contextlib.suppress(Exception):
+            with contextlib.suppress(Exception, asyncio.CancelledError):
                 writer.close()
                 await writer.wait_closed()
 

@@ -10,6 +10,8 @@ semantically identical on the emulator.
 
 from __future__ import annotations
 
+from dataclasses import replace as dc_replace
+
 import pytest
 
 from repro.compiler import CompiledMethod, Relocation, RelocKind
@@ -20,7 +22,12 @@ from repro.core.merge import (
     merge_functions,
     merge_node_key,
 )
-from repro.core.metadata import MethodMetadata
+from repro.core.metadata import (
+    DataExtent,
+    MethodMetadata,
+    PcRelativeRef,
+    SlowpathExtent,
+)
 from repro.isa import decode, instructions as ins
 from repro.oat import link
 from repro.runtime.emulator import Emulator
@@ -201,6 +208,20 @@ class TestDeterminismAndCache:
         assert merge_node_key(methods, min_saved=2) != base
         assert merge_node_key(methods, hot_names=frozenset({"f_a"})) != base
         assert merge_node_key([_leaf("f_a", 1), _leaf("f_b", 3)]) != base
+        # The metadata and callees _similar_shape and the thunks read.
+        leaf = methods[1]
+        edits = {
+            "slowpaths": {"slowpaths": [SlowpathExtent(start=4, end=8)]},
+            "embedded_data": {"embedded_data": [DataExtent(start=4, size=4)]},
+            "terminators": {"terminators": [4, leaf.size - 4]},
+            "pc_relative": {"pc_relative": [PcRelativeRef(offset=4, target=8)]},
+            "has_indirect_jump": {"has_indirect_jump": True},
+        }
+        for field_name, change in edits.items():
+            edited = dc_replace(leaf, metadata=dc_replace(leaf.metadata, **change))
+            assert merge_node_key([methods[0], edited]) != base, field_name
+        edited = dc_replace(leaf, callees=("f_a",))
+        assert merge_node_key([methods[0], edited]) != base, "callees"
 
     def test_plan_splices_from_the_cache(self):
         methods = [_leaf("f_a", 1), _leaf("f_b", 1), _leaf("f_c", 10), _leaf("f_d", 20)]

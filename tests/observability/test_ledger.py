@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -231,3 +232,20 @@ def test_graph_field_round_trips_and_stays_optional():
     data = json.loads(json.dumps(entry.to_dict()))
     assert data["graph"] == delta
     assert LedgerEntry.from_dict(data) == entry
+
+
+def test_committed_incremental_ledger_has_the_current_shape():
+    """``benchmarks/bench_incremental.py`` rewrites this tracked artifact
+    on every run; a line in an older shape means it appended instead."""
+    from repro.service.graph import GraphDelta
+
+    path = (Path(__file__).resolve().parents[2]
+            / "benchmarks" / "_artifacts" / "incremental_ledger.jsonl")
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines
+    for number, line in enumerate(lines, 1):
+        data = json.loads(line)
+        entry = LedgerEntry.from_dict(data)
+        assert entry.schema_version == LEDGER_SCHEMA_VERSION, number
+        assert set(data) <= set(entry.to_dict()), number
+        assert set(entry.graph) == set(GraphDelta().as_dict()), number

@@ -1,4 +1,4 @@
-"""The content-addressed outline cache: keys, rebranding, disk tier."""
+"""The content-addressed outline cache: keys, chunks, disk tier."""
 
 from __future__ import annotations
 
@@ -44,52 +44,33 @@ def test_group_key_is_stable_and_content_sensitive(candidates):
     hot = (candidates, frozenset({candidates[0][1].name}), DEFAULT_MIN_LENGTH,
            DEFAULT_MAX_LENGTH, DEFAULT_MIN_SAVED, "MethodOutliner$g0")
     assert key != OutlineCache.group_key(hot)
-    # ... the symbol prefix is deliberately not.
-    assert key == OutlineCache.group_key(_payload(candidates, prefix="Other$g7"))
-
-
-def test_hit_rebrands_to_the_requested_prefix(candidates):
-    cache = OutlineCache()
-    stored = _payload(candidates, prefix="MethodOutliner$g0")
-    cache.store_chunk(OutlineCache.group_key(stored), stored[5], _worker(stored))
-
-    wanted = _payload(candidates, prefix="Round1$g3")
-    hit = cache.lookup_chunk(OutlineCache.group_key(wanted), wanted[5])
-    assert hit is not None
-    fresh = _worker(wanted)
-    assert [m.name for m in hit.outlined] == [m.name for m in fresh.outlined]
-    assert [m.code for m in hit.outlined] == [m.code for m in fresh.outlined]
-    assert set(hit.rewritten) == set(fresh.rewritten)
-    for index in hit.rewritten:
-        assert hit.rewritten[index].code == fresh.rewritten[index].code
-        assert [r.symbol for r in hit.rewritten[index].relocations] == [
-            r.symbol for r in fresh.rewritten[index].relocations
-        ]
+    # ... and so is the symbol prefix.
+    assert key != OutlineCache.group_key(_payload(candidates, prefix="Other$g7"))
 
 
 def test_miss_then_hit_then_stats(candidates):
     cache = OutlineCache()
     payload = _payload(candidates)
-    key, prefix = OutlineCache.group_key(payload), payload[5]
-    assert cache.lookup_chunk(key, prefix) is None
-    cache.store_chunk(key, prefix, _worker(payload))
-    assert cache.lookup_chunk(key, prefix) is not None
+    key = OutlineCache.group_key(payload)
+    assert cache.lookup_chunk(key) is None
+    cache.store_chunk(key, _worker(payload))
+    assert cache.lookup_chunk(key) is not None
     assert cache.stats.hits == 1 and cache.stats.misses == 1
     assert cache.stats.stores == 1 and cache.stats.hit_rate == 0.5
 
 
 def test_disk_round_trip_across_instances(tmp_path, candidates):
     payload = _payload(candidates)
-    key, prefix = OutlineCache.group_key(payload), payload[5]
+    key = OutlineCache.group_key(payload)
     writer = OutlineCache(tmp_path)
-    writer.store_chunk(key, prefix, _worker(payload))
+    writer.store_chunk(key, _worker(payload))
     assert writer.disk_bytes() > 0
 
     reader = OutlineCache(tmp_path)
-    assert reader.lookup_chunk(key, prefix) is not None
+    assert reader.lookup_chunk(key) is not None
     assert reader.stats.disk_hits == 1
     # The entry was promoted to memory: a second lookup skips the disk.
-    assert reader.lookup_chunk(key, prefix) is not None
+    assert reader.lookup_chunk(key) is not None
     assert reader.stats.disk_hits == 1 and reader.stats.hits == 2
 
 
@@ -172,25 +153,26 @@ def test_constructor_validation():
 # -- keyed chunk API (the graph's view of the cache) --------------------------
 
 
-def test_lookup_chunk_rebrands_stored_prefix(candidates):
-    """Regression: a chunk stored through the keyed API under one
-    symbol prefix must come back rebranded when a graph node asks for
-    it under another — outlined names, callsite relocations and
-    decisions all move to the new prefix."""
+def test_chunk_is_returned_as_stored_and_only_under_its_prefix(candidates):
+    """A chunk keys on the symbol prefix it was outlined under: the same
+    candidates under another prefix miss, and a hit is the stored
+    result itself, its outlined names still under the stored prefix."""
     cache = OutlineCache()
     payload = _payload(candidates, prefix="PrefixA$g0")
-    cache.store_chunk(OutlineCache.group_key(payload), "PrefixA$g0", _worker(payload))
+    result = _worker(payload)
+    cache.store_chunk(OutlineCache.group_key(payload), result)
 
-    hit = cache.lookup_chunk(OutlineCache.group_key(payload), "PrefixB$g5")
-    assert hit is not None
-    fresh = _worker(_payload(candidates, prefix="PrefixB$g5"))
-    assert [m.name for m in hit.outlined] == [m.name for m in fresh.outlined]
-    assert all(m.name.startswith("PrefixB$g5$") for m in hit.outlined)
-    for index in hit.rewritten:
-        assert [r.symbol for r in hit.rewritten[index].relocations] == [
-            r.symbol for r in fresh.rewritten[index].relocations
-        ]
-    assert [d.name for d in hit.decisions] == [d.name for d in fresh.decisions]
+    other = OutlineCache.group_key(_payload(candidates, prefix="PrefixB$g5"))
+    assert cache.lookup_chunk(other) is None
+    hit = cache.lookup_chunk(OutlineCache.group_key(payload))
+    assert hit is result
+    assert hit.outlined and all(m.name.startswith("PrefixA$g0$") for m in hit.outlined)
+
+
+def test_non_chunk_entry_under_a_chunk_key_is_a_miss():
+    cache = OutlineCache()
+    cache.store_object("ab" * 32, ("PrefixA$g0", "not a chunk"))
+    assert cache.lookup_chunk("ab" * 32) is None
 
 
 # -- stores without a scan per store ------------------------------------------

@@ -392,6 +392,23 @@ def test_wrong_config_type_is_a_bad_request(dexfiles):
     assert status["accepted"] == 0
 
 
+def test_shutdown_with_an_idle_connection_logs_no_error(caplog):
+    """A client still connected when the server stops: its handler ends
+    with the loop, and asyncio records no error for it."""
+    service = BuildService(ServiceConfig())
+    status = json.dumps({"op": "status", "v": PROTOCOL_VERSION}).encode() + b"\n"
+    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as raw:
+        raw.settimeout(10.0)
+        with caplog.at_level("ERROR", logger="asyncio"):
+            with _front_door(service) as (server, sock):
+                raw.connect(sock)
+                raw.sendall(status)
+                assert json.loads(raw.makefile("rb").readline())["event"] == "status"
+    service.close()
+    errors = [r for r in caplog.records if r.name == "asyncio" and r.levelname == "ERROR"]
+    assert errors == [], [r.getMessage() for r in errors]
+
+
 def test_unknown_cancel_target_is_an_error():
     service = BuildService(ServiceConfig())
     with _front_door(service) as (server, sock):

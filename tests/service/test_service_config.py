@@ -42,6 +42,18 @@ def test_bad_values_raise_config_error(kwargs):
         ServiceConfig(**kwargs)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("shards", 2.5),
+    ("incremental", "yes"),
+    ("max_workers", True),
+    ("cache_max_bytes", "1"),
+    ("cache_dir", 5),
+])
+def test_wrong_value_type_is_a_config_error_naming_the_field(field, value):
+    with pytest.raises(ConfigError, match=field):
+        ServiceConfig.from_dict({field: value})
+
+
 def test_config_is_frozen():
     config = ServiceConfig()
     with pytest.raises(Exception):

@@ -5,8 +5,8 @@ cache must produce exactly the OAT image a plain ``build_app`` call
 produces — across the paper configurations, shard widths, and on both
 cold and warm caches.  On top of that the suite pins the sharing
 itself: a *fresh* service on a directory another service populated
-hits the supervisor's disk lookup (cross-tenant reuse, different
-symbol prefixes re-branded on the way out).
+hits the supervisor's disk lookup (cross-tenant reuse: the same
+candidates under the same symbol prefix key the same chunk).
 """
 
 from __future__ import annotations
